@@ -2,12 +2,12 @@
 """Record the simulated observables the benchmark's correctness gate
 expects, into ``perfbench/expected.json``::
 
-    python3 perfbench/record_expected.py [--seeds 64] [--workload NAME]
+    python3 perfbench/record_expected.py [--workload NAME]
 
 Every workload runs in-process (the sharded workload at workers=0, so
 the committed totals are the ones multi-process runs must reproduce),
-for seeds ``0 .. seeds-1`` when the seed changes its inputs and once
-otherwise, in both full and smoke sizes.  Values equal for every
+for every seed in ``RECORDED_SEEDS`` when the seed changes its inputs
+and once otherwise, in both full and smoke sizes.  Values equal for every
 recorded seed go under ``any_seed`` and are checked for any seed; the
 rest go under ``by_seed``.  Re-record only in a change that deliberately
 changes the simulated model, and say so in that change.
@@ -21,10 +21,13 @@ import sys
 
 from run import EXPECTED_PATH, _import_program, expected_key
 
+#: Seeds whose full digest is recorded (NOTES.md, "Correctness gate").
+RECORDED_SEEDS = range(64)
 
-def record(workload, smoke: bool, seeds: range) -> dict:
-    if workload.seed_invariant is None:
-        seeds = range(1)
+
+def record(workload, smoke: bool) -> dict:
+    seeds = (RECORDED_SEEDS if workload.seed_invariant is not None
+             else range(1))
     digests = {}
     for seed in seeds:
         trial = workload.build(seed, smoke, True)
@@ -54,7 +57,6 @@ def record(workload, smoke: bool, seeds: range) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seeds", type=int, default=64)
     parser.add_argument("--workload", action="append",
                         help="re-record only this workload (repeatable)")
     args = parser.parse_args()
@@ -66,7 +68,7 @@ def main() -> None:
             continue
         for smoke in (False, True):
             expected[expected_key(workload.name, smoke)] = record(
-                workload, smoke, range(args.seeds))
+                workload, smoke)
     EXPECTED_PATH.write_text(json.dumps(expected, indent=1, sort_keys=True)
                              + "\n")
 

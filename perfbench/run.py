@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """SDNFV simulator benchmark.
 
-Runs one workload (or ``all``) for a fixed wall-clock budget, checks the
-simulated results, and prints every metric by name, unit and workload;
-the last line is one JSON object::
+Runs one workload (or ``all``, each in its own process) for a fixed
+wall-clock budget, checks the simulated results, and prints every metric
+by name, unit and workload; the last line is one JSON object::
 
     python3 perfbench/run.py --workload chain_trickle --seed 0 \\
         --seconds 10 --trace 0
@@ -25,6 +25,7 @@ import multiprocessing
 import pathlib
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import traceback
@@ -172,13 +173,15 @@ def measure_untraced(workload, seed: int, seconds: float, smoke: bool,
     """End-to-end metrics.  A calibration spin runs before the first
     repetition and after every one; each repetition's host times are
     scaled by ``REFERENCE_SPIN_S`` over the mean of its two neighbouring
-    spins, which cancels the host's speed drift (see NOTES.md)."""
+    spins, which cancels the host's speed drift (see NOTES.md).  The raw
+    wall-clock medians are printed as context."""
     result = Result()
     expected = expected_for(workload.name, seed, smoke)
     reps: list[Repetition] = []
-    samples: list[float] = []
     raw: list[float] = []
+    scaled: list[float] = []
     setups: list[float] = []
+    scaled_setups: list[float] = []
     spins = [spin()]
     reference = None
     deadline = clock() + seconds
@@ -197,16 +200,17 @@ def measure_untraced(workload, seed: int, seconds: float, smoke: bool,
         reference = reference or rep.observation.digest
         reps.append(rep)
         raw.append(rep.us_per_pkt)
-        samples.append(rep.us_per_pkt * scale)
-        setups += [build * scale for build in builds]
+        scaled.append(rep.us_per_pkt * scale)
+        setups += builds
+        scaled_setups += [build * scale for build in builds]
     if not reps:
         return result
     rusage = resource.getrusage
     peak_kib = (rusage(resource.RUSAGE_SELF).ru_maxrss
                 + rusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     values = {
-        "host_us_per_pkt": statistics.median(samples),
-        "setup_s": statistics.median(setups),
+        "host_us_per_pkt": statistics.median(scaled),
+        "setup_s": statistics.median(scaled_setups),
         "peak_rss_mib": peak_kib / 1024.0,
         **{name: reps[0].observation.digest[name]
            for name in END_TO_END_UNITS if name.startswith("sim_")},
@@ -216,8 +220,9 @@ def measure_untraced(workload, seed: int, seconds: float, smoke: bool,
     result.notes += [
         f"repetitions {len(reps)}, {reps[0].observation.sent} packets "
         f"each; set-up samples {len(setups)}",
-        f"raw host us/pkt median {statistics.median(raw):.3f} "
-        f"(min {min(raw):.3f}, max {max(raw):.3f}), not gated",
+        f"raw wall-clock medians, not gated: host us/pkt "
+        f"{statistics.median(raw):.3f} (min {min(raw):.3f}, max "
+        f"{max(raw):.3f}), set-up {statistics.median(setups):.6f} s",
         f"harness.calib_spin_s median {statistics.median(spins):.4f} s "
         f"over {len(spins)} spins (reference {REFERENCE_SPIN_S} s)",
     ]
@@ -289,8 +294,8 @@ def measure_traced(workload, seed: int, seconds: float, smoke: bool,
 # ----------------------------------------------------------------------
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", default="all",
-                        help="workload name, or 'all'")
+    parser.add_argument("--workload", required=True,
+                        help="workload name (see workloads.py), or 'all'")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=None,
                         help="measurement budget per workload "
@@ -301,14 +306,43 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def run_all(names, args: argparse.Namespace) -> int:
+    """``--workload all``: every workload in a child process of its own,
+    so each one's peak RSS and host state are its own.  The children's
+    metrics are merged under ``<workload>.<metric>``."""
+    attempted = failed = 0
+    metrics: dict[str, dict] = {}
+    options = ["--seed", str(args.seed), "--trace", str(args.trace)]
+    if args.seconds is not None:
+        options += ["--seconds", str(args.seconds)]
+    if args.smoke:
+        options.append("--smoke")
+    for name in names:
+        done = subprocess.run([sys.executable, __file__, "--workload", name,
+                               *options], stdout=subprocess.PIPE, text=True)
+        *lines, last = done.stdout.splitlines() or [""]
+        print("\n".join(lines), flush=True)
+        try:
+            child = json.loads(last)
+        except json.JSONDecodeError:  # crashed before its result line
+            child = {"attempted": 1, "failed": 1, "metrics": {}}
+        attempted += child["attempted"]
+        failed += child["failed"]
+        metrics.update({f"{name}.{metric}": value
+                        for metric, value in child["metrics"].items()})
+    correct = failed == 0 and len(metrics) > 0
+    print(json.dumps({"correct": correct, "attempted": attempted,
+                      "failed": failed, "metrics": metrics}))
+    return 0 if correct else 1
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     calibration_spin, layers, workloads = _import_program()
     if args.workload == "all":
-        selected = list(workloads.WORKLOADS.values())
-    elif args.workload in workloads.WORKLOADS:
-        selected = [workloads.WORKLOADS[args.workload]]
-    else:
+        return run_all(list(workloads.WORKLOADS), args)
+    workload = workloads.WORKLOADS.get(args.workload)
+    if workload is None:
         sys.exit(f"perfbench: unknown workload {args.workload!r}; choose "
                  f"from {sorted(workloads.WORKLOADS)} or 'all'")
     seconds = args.seconds
@@ -316,32 +350,27 @@ def main(argv=None) -> int:
         seconds = 0.0 if args.smoke else 25.0
     min_reps = 2 if args.smoke else MIN_REPS
 
-    attempted = failed = 0
-    metrics: dict[str, dict] = {}
-    for workload in selected:
-        if args.trace:
-            result = measure_traced(workload, args.seed, seconds,
-                                    args.smoke, calibration_spin, layers)
-        else:
-            result = measure_untraced(workload, args.seed, seconds,
-                                      args.smoke, calibration_spin,
-                                      min_reps)
-        attempted += result.attempted
-        failed += result.failed
-        for line in result.log:
-            print(f"FAILED {workload.name}: {line}", file=sys.stderr)
-        for note in result.notes:
-            print(f"# {workload.name}: {note}")
-        for name, (value, unit) in result.metrics.items():
-            print(f"{workload.name:<17} {name:<32} {value:>16.6f} {unit}")
-            key = name if len(selected) == 1 else f"{workload.name}.{name}"
-            metrics[key] = {"value": value, "unit": unit}
+    if args.trace:
+        result = measure_traced(workload, args.seed, seconds, args.smoke,
+                                calibration_spin, layers)
+    else:
+        result = measure_untraced(workload, args.seed, seconds, args.smoke,
+                                  calibration_spin, min_reps)
+    for line in result.log:
+        print(f"FAILED {workload.name}: {line}", file=sys.stderr)
+    for note in result.notes:
+        print(f"# {workload.name}: {note}")
+    for name, (value, unit) in result.metrics.items():
+        print(f"{workload.name:<17} {name:<32} {value:>16.6f} {unit}")
     for child in multiprocessing.active_children():  # reaps the finished
         child.terminate()
         child.join()
-    correct = failed == 0 and len(metrics) > 0
-    print(json.dumps({"correct": correct, "attempted": attempted,
-                      "failed": failed, "metrics": metrics}))
+    correct = result.failed == 0 and len(result.metrics) > 0
+    print(json.dumps({
+        "correct": correct, "attempted": result.attempted,
+        "failed": result.failed,
+        "metrics": {name: {"value": value, "unit": unit}
+                    for name, (value, unit) in result.metrics.items()}}))
     return 0 if correct else 1
 
 

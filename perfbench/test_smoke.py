@@ -28,12 +28,14 @@ def run_benchmark(*args: str, cwd: pathlib.Path | None = None):
 
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_smoke_every_workload_passes_its_gate(trace):
-    done = run_benchmark("--smoke", "--trace", trace)
+    done = run_benchmark("--smoke", "--workload", "all", "--trace", trace)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] >= 4
     assert all(metric["unit"] for metric in result["metrics"].values())
+    assert {name.split(".")[0] for name in result["metrics"]} == {
+        "chain_trickle", "chain_saturation", "flow_churn", "wan_sharded"}
 
 
 def test_smoke_seed_outside_the_record_still_checks_invariants():

@@ -202,18 +202,29 @@ class ChurnTrial:
                                           seed=seed)
         # Delivered packets, and the in-host latency of each HTTP reply
         # (the packet that completes its flow; the bare ACKs take a
-        # faster path, so mixing both makes the median bimodal).  The
+        # faster path, so mixing both makes the median bimodal).  A reply
+        # is allocated, and stamped ``created_at``, when its flow starts
+        # but injected later, so the latency runs from injection.  The
         # workload's own egress hook stays in charge of completion and
         # buffer reclaim.
         self.delivered = 0
         self.latency = LatencyRecorder("churn-reply")
+        injected_at: dict[int, int] = {}
+        inject = host.inject
+
+        def stamping_inject(port_name, packet, _sim=sim, _inject=inject):
+            if packet.payload:
+                injected_at[packet.packet_id] = _sim.now
+            return _inject(port_name, packet)
+
+        host.inject = stamping_inject
         port = host.port("eth1")
         measured = port.on_egress
 
         def recording_hook(packet, _sim=sim, _record=self.latency.record):
             self.delivered += 1
             if packet.payload:
-                _record(_sim.now - packet.created_at)
+                _record(_sim.now - injected_at.pop(packet.packet_id))
             measured(packet)
 
         port.on_egress = recording_hook
