@@ -1,18 +1,28 @@
-"""Ablation: the columnar burst kernel (struct-of-arrays data path).
+"""Ablation: the per-burst PacketBatch path (struct-of-arrays bursts).
 
-Two measurements:
+The RX thread moves a burst of at least ``_BATCH_MIN`` packets as one
+:class:`~repro.net.batch.PacketBatch` and a smaller one as per-packet
+descriptors.  Three measurements:
 
-1. **Columnar vs. object pipeline** on the Fig. 7 saturation workload
-   (2-VM NoOp chain, 64 B at burst 32, offered above line rate — the
-   regime where RX bursts actually fill).  The columnar path must
+1. **Per-burst batching vs. never batching** on the Fig. 7 saturation
+   workload (2-VM NoOp chain, 64 B at burst 32, offered above line rate
+   — the regime where RX bursts actually fill).  The default run must
    produce *identical* model outputs (throughput, conservation totals)
-   while cutting wall-clock time by >= 1.3x.  A committed object-path
-   baseline (``results/ablation_columnar_baseline.json``) pins the
-   deterministic totals across machines; the wall-clock ratio against
-   that file is reported but only the in-run ratio gates (absolute
-   wall time is machine-dependent).
+   to a run forced onto descriptors (``_BATCH_MIN`` above the burst
+   size) while cutting wall-clock time by >= 1.3x.  A committed
+   descriptor-path baseline (``results/ablation_columnar_baseline.json``)
+   pins the deterministic totals across machines; the wall-clock ratio
+   against that file is reported but only the in-run ratio gates
+   (absolute wall time is machine-dependent).
 
-2. **Fig. 10-style saturation sweep at 10^5 concurrent flows** on the
+2. **The ``_BATCH_MIN`` sweep** (1, 2, 4, 8, 16, 32, never) on that
+   saturation shape and on the 22-node Rocketfuel WAN chain (sharded,
+   in-process), the table behind the chosen threshold: batching must
+   pay at saturation, where bursts fill, and must not tax the WAN
+   chain, whose bursts are one or two packets.  Totals are identical at
+   every threshold; wall-clock is recorded, not gated.
+
+3. **Fig. 10-style saturation sweep at 10^5 concurrent flows** on the
    sharded kernel (the PR 6 follow-up): offered load is swept through
    line rate on a two-host chain whose traffic round-robins over
    100 000 distinct five-tuples, churning the per-flow plan caches on
@@ -22,12 +32,15 @@ Two measurements:
 
 import json
 import pathlib
+import statistics
 import time
+from unittest import mock
 
 import pytest
 
 from repro.core import EXIT, ServiceGraph
 from repro.dataplane import NfvHost
+from repro.dataplane import manager as manager_module
 from repro.metrics import series_table
 from repro.net import FiveTuple
 from repro.nfs import NoOpNf
@@ -36,6 +49,7 @@ from repro.sim.sharded import Scenario, ShardedSimulator, TrafficSpec
 from repro.topology import Link, NodeSpec, Topology
 from repro.workloads import FlowSpec, PktGen
 
+from benchmarks.test_micro_multihost import make_scenario
 from tests.conftest import install_chain
 
 WINDOW_NS = 3 * MS
@@ -46,28 +60,36 @@ MIN_SPEEDUP = 1.3
 BASELINE_PATH = (pathlib.Path(__file__).parent / "results"
                  / "ablation_columnar_baseline.json")
 
-#: The model outputs that must not move between the two data paths (and
-#: across machines, via the committed baseline).
+#: The model outputs that must not move between the two burst forms
+#: (and across machines, via the committed baseline).
 TOTAL_KEYS = ("sent", "received", "rx", "tx", "drops")
 
+#: ``_BATCH_MIN`` that no burst reaches: every burst moves as descriptors.
+NEVER = BURST_SIZE + 1
 
-def measure(columnar: bool) -> dict:
-    sim = Simulator()
-    host = NfvHost(sim, name="columnar" if columnar else "object",
-                   burst_size=BURST_SIZE, columnar=columnar)
-    services = ["noop0", "noop1"]
-    for service in services:
-        host.add_nf(NoOpNf(service), ring_slots=1024)
-    install_chain(host, services)
-    flow = FiveTuple("10.0.0.1", "10.0.0.2", 6, 1234, 80)
-    gen = PktGen(sim, host, window_ns=MS)
-    gen.add_flow(FlowSpec(flow=flow, rate_mbps=OFFERED_MBPS, packet_size=64,
-                          stop_ns=2 * WINDOW_NS))
-    start = time.perf_counter()
-    # One extra window past stop_ns so the pipeline drains and every
-    # received packet is either transmitted or counted as a drop.
-    sim.run(until=3 * WINDOW_NS)
-    wall_s = time.perf_counter() - start
+
+def measure(batch_min: int | None = None) -> dict:
+    """One saturation run; ``batch_min`` overrides the batching
+    threshold (None keeps the data path's default)."""
+    if batch_min is None:
+        batch_min = manager_module._BATCH_MIN
+    with mock.patch.object(manager_module, "_BATCH_MIN", batch_min):
+        sim = Simulator()
+        host = NfvHost(sim, name=f"batch-min-{batch_min}",
+                       burst_size=BURST_SIZE)
+        services = ["noop0", "noop1"]
+        for service in services:
+            host.add_nf(NoOpNf(service), ring_slots=1024)
+        install_chain(host, services)
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", 6, 1234, 80)
+        gen = PktGen(sim, host, window_ns=MS)
+        gen.add_flow(FlowSpec(flow=flow, rate_mbps=OFFERED_MBPS,
+                              packet_size=64, stop_ns=2 * WINDOW_NS))
+        start = time.perf_counter()
+        # One extra window past stop_ns so the pipeline drains and every
+        # received packet is either transmitted or counted as a drop.
+        sim.run(until=3 * WINDOW_NS)
+        wall_s = time.perf_counter() - start
     stats = host.stats
     drops = (stats.dropped_ring_full + stats.dropped_no_vm
              + stats.dropped_no_rule + stats.lost_in_nf)
@@ -86,54 +108,144 @@ def measure(columnar: bool) -> dict:
     }
 
 
-def test_ablation_columnar_vs_object_path(report, benchmark):
+def test_ablation_per_burst_vs_never_batch(report, benchmark):
     def run():
-        return measure(columnar=False), measure(columnar=True)
+        return measure(NEVER), measure()
 
-    object_path, columnar = benchmark.pedantic(run, iterations=1, rounds=1)
+    descriptors, per_burst = benchmark.pedantic(run, iterations=1,
+                                                rounds=1)
 
-    # The columnar kernel is a wall-clock optimization, not a model
-    # change: every observable total is identical.
+    # Batching is a wall-clock optimization, not a model change: every
+    # observable total is identical.
     for key in (*TOTAL_KEYS, "gbps", "events_per_pkt"):
-        assert columnar[key] == object_path[key], key
-    assert columnar["rx"] == columnar["tx"] + columnar["drops"]
-    assert columnar["columnar_batches"] > 0
-    assert columnar["object_fallbacks"] == 0
-    assert object_path["columnar_batches"] == 0
+        assert per_burst[key] == descriptors[key], key
+    assert per_burst["rx"] == per_burst["tx"] + per_burst["drops"]
+    assert per_burst["columnar_batches"] > 0
+    assert per_burst["object_fallbacks"] == 0
+    assert descriptors["columnar_batches"] == 0
 
     # The acceptance gate: >= 1.3x at burst 32 on the saturated Fig. 7
-    # workload, measured against the object path in the same process.
-    speedup = object_path["wall_s"] / columnar["wall_s"]
+    # workload, measured against never batching in the same process.
+    speedup = descriptors["wall_s"] / per_burst["wall_s"]
     assert speedup >= MIN_SPEEDUP, (
-        f"columnar speedup {speedup:.2f}x < {MIN_SPEEDUP}x")
+        f"per-burst batching speedup {speedup:.2f}x < {MIN_SPEEDUP}x")
 
-    # Cross-machine anchor: the committed object-path baseline must see
-    # the exact same deterministic totals; its wall-clock ratio is
+    # Cross-machine anchor: the committed descriptor-path baseline must
+    # see the exact same deterministic totals; its wall-clock ratio is
     # reported (machine-dependent, non-gating).
     baseline = json.loads(BASELINE_PATH.read_text())
     for key in TOTAL_KEYS:
-        assert columnar[key] == baseline["totals"][key], key
-    baseline_ratio = baseline["wall_s"] / columnar["wall_s"]
+        assert per_burst[key] == baseline["totals"][key], key
+    baseline_ratio = baseline["wall_s"] / per_burst["wall_s"]
 
     columns = {
-        "path": ["object", "columnar", "baseline(object)"],
-        "wall_s": [object_path["wall_s"], columnar["wall_s"],
+        "path": ["never batch", "per-burst", "baseline(descriptors)"],
+        "wall_s": [descriptors["wall_s"], per_burst["wall_s"],
                    baseline["wall_s"]],
-        "gbps": [object_path["gbps"], columnar["gbps"],
+        "gbps": [descriptors["gbps"], per_burst["gbps"],
                  baseline["gbps"]],
-        "received": [object_path["received"], columnar["received"],
+        "received": [descriptors["received"], per_burst["received"],
                      baseline["totals"]["received"]],
     }
     report("ablation_columnar", series_table(
-        "Ablation — columnar burst kernel "
+        "Ablation — per-burst PacketBatch path "
         f"(64 B, burst {BURST_SIZE}, {OFFERED_MBPS:.0f} Mbps offered)\n"
         f"speedup in-run {speedup:.2f}x, vs committed baseline "
         f"{baseline_ratio:.2f}x", columns),
         metrics={"speedup": speedup, "baseline_ratio": baseline_ratio,
-                 "object": object_path, "columnar": columnar},
+                 "never_batch": descriptors, "per_burst": per_burst},
         config={"packet_size": 64, "offered_mbps": OFFERED_MBPS,
                 "burst_size": BURST_SIZE, "chain": ["noop0", "noop1"],
-                "ring_slots": 1024, "window_ns": WINDOW_NS})
+                "ring_slots": 1024, "window_ns": WINDOW_NS,
+                "batch_min": manager_module._BATCH_MIN})
+
+
+# ----------------------------------------------------------------------
+# The _BATCH_MIN sweep: saturation and WAN shapes
+# ----------------------------------------------------------------------
+
+SWEEP_THRESHOLDS = (1, 2, 4, 8, 16, 32, NEVER)
+SWEEP_REPS = 3
+
+
+def wan_scenario() -> Scenario:
+    """The micro_multihost 22-node Rocketfuel chain, cut to 2 ms of its
+    two flows plus the drain of its ~6 ms path."""
+    scenario = make_scenario()
+    scenario.duration_ns = 9 * MS
+    first, second = scenario.traffic
+    first.stop_ns = 2 * MS
+    second.start_ns, second.stop_ns = MS // 2, 3 * MS // 2
+    return scenario
+
+
+def measure_wan(batch_min: int) -> dict:
+    """The Rocketfuel chain on two in-process shards."""
+    with mock.patch.object(manager_module, "_BATCH_MIN", batch_min):
+        started = time.perf_counter()
+        result = ShardedSimulator(wan_scenario(), shards=2,
+                                  workers=0).run()
+        wall_s = time.perf_counter() - started
+    totals = result.totals()
+    return {"wall_s": wall_s, "sent": totals["sent"],
+            "received": totals["received"], "rx": totals["rx_packets"],
+            "tx": totals["tx_packets"],
+            "columnar_batches": sum(
+                result.host_summary(name)["columnar_batches"]
+                for name in result.hosts)}
+
+
+def test_batch_threshold_sweep(report, benchmark):
+    def run():
+        # Repetitions interleave the thresholds so machine drift hits
+        # every point alike; each point reports its median.
+        saturation = {threshold: [] for threshold in SWEEP_THRESHOLDS}
+        wan = {threshold: [] for threshold in SWEEP_THRESHOLDS}
+        for _ in range(SWEEP_REPS):
+            for threshold in SWEEP_THRESHOLDS:
+                saturation[threshold].append(measure(threshold))
+                wan[threshold].append(measure_wan(threshold))
+        return saturation, wan
+
+    saturation, wan = benchmark.pedantic(run, iterations=1, rounds=1)
+
+    def us_per_pkt(runs: list[dict]) -> float:
+        wall_s = statistics.median(run["wall_s"] for run in runs)
+        return wall_s * 1e6 / runs[0]["sent"]
+
+    # Every threshold moves exactly the same packets.
+    for shape in (saturation, wan):
+        reference = shape[NEVER][0]
+        for runs in shape.values():
+            for run in runs:
+                for key in TOTAL_KEYS[:4]:
+                    assert run[key] == reference[key], key
+    assert saturation[1][0]["columnar_batches"] > 0
+    assert wan[1][0]["columnar_batches"] > 0
+    assert saturation[NEVER][0]["columnar_batches"] == 0
+    assert wan[NEVER][0]["columnar_batches"] == 0
+
+    labels = [str(t) if t != NEVER else "never" for t in SWEEP_THRESHOLDS]
+    columns = {
+        "batch_min": labels,
+        "saturation_us_per_pkt": [round(us_per_pkt(saturation[t]), 3)
+                                  for t in SWEEP_THRESHOLDS],
+        "saturation_batches": [saturation[t][0]["columnar_batches"]
+                               for t in SWEEP_THRESHOLDS],
+        "wan_us_per_pkt": [round(us_per_pkt(wan[t]), 3)
+                           for t in SWEEP_THRESHOLDS],
+        "wan_batches": [wan[t][0]["columnar_batches"]
+                        for t in SWEEP_THRESHOLDS],
+    }
+    report("ablation_batch_threshold", series_table(
+        "Ablation — _BATCH_MIN sweep: host wall-clock per sent packet "
+        f"(median of {SWEEP_REPS}); saturation = Fig. 7 chain at "
+        f"{OFFERED_MBPS:.0f} Mbps, wan = 22-node Rocketfuel chain on 2 "
+        f"shards; chosen threshold {manager_module._BATCH_MIN}", columns),
+        metrics=columns,
+        config={"thresholds": labels, "reps": SWEEP_REPS,
+                "burst_size": BURST_SIZE,
+                "batch_min": manager_module._BATCH_MIN})
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +274,6 @@ def sweep_scenario(rate_mbps: float) -> Scenario:
         topology=topology, graph=graph,
         placement={"a": "n0", "b": "n1"},
         duration_ns=SWEEP_DURATION,
-        columnar=True,
         traffic=[TrafficSpec(
             host="n0",
             flow=FiveTuple("10.0.0.1", "10.0.0.2", 6, 1, 80),
@@ -199,7 +310,7 @@ def test_fig10_saturation_sweep_100k_flows(report, benchmark):
     by_rate = dict(zip(SWEEP_RATES, points, strict=True))
 
     # The sweep is real: >= 10^5 packets through 10^5 distinct flows at
-    # the top rate, on the columnar path.
+    # the top rate, with its full bursts on the batch path.
     top = by_rate[SWEEP_RATES[-1]]
     assert top["sent"] >= 100_000
     assert top["columnar_batches"] > 0
@@ -223,8 +334,7 @@ def test_fig10_saturation_sweep_100k_flows(report, benchmark):
     }
     report("fig10_saturation_sweep", series_table(
         f"Fig. 10-style saturation sweep ({SWEEP_FLOWS} concurrent "
-        "flows, 2-host sharded chain, columnar)", columns),
+        "flows, 2-host sharded chain)", columns),
         metrics=columns,
         config={"flow_count": SWEEP_FLOWS, "packet_size": 64,
-                "shards": 2, "duration_ns": SWEEP_DURATION,
-                "columnar": True})
+                "shards": 2, "duration_ns": SWEEP_DURATION})

@@ -100,8 +100,8 @@ class HostCosts:
                 + self.flow_lookup_ns)
 
     # ------------------------------------------------------------------
-    # Columnar per-batch accounting: one integer multiply replaces the
-    # object pipeline's per-packet accumulation, with identical totals
+    # Per-batch accounting: one integer multiply replaces the descriptor
+    # path's per-packet accumulation, with identical totals
     # (all costs are integers, so n * c == c summed n times).
     # ------------------------------------------------------------------
 

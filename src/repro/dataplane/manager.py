@@ -43,7 +43,7 @@ from repro.dataplane.messages import (
     SkipMe,
     UserMessage,
 )
-from repro.dataplane.rings import RingBuffer, batch_weight
+from repro.dataplane.rings import RingBuffer
 from repro.dataplane.stats import HostStats
 from repro.dataplane.vm import NfVm
 from repro.net.batch import PacketBatch
@@ -68,6 +68,17 @@ DEFAULT_BURST_SIZE = 32
 
 # Bound on the descriptor free list (wrappers, not packets).
 _DESC_POOL_LIMIT = 4096
+
+# Smallest RX burst that travels as one PacketBatch; smaller bursts move
+# as per-packet descriptors.  Both forms are simulation-identical, so
+# this only trades host time: a batch's fixed construction and bulk
+# lookup cost pays off once it is spread over enough packets.  Set from
+# the threshold sweep in benchmarks/test_ablation_columnar.py.
+_BATCH_MIN = 8
+
+# An RX batch follows its rules' default actions, exactly what a batch
+# that a no-op NF passed on does.
+_RX_VERDICT = Verdict.default()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,7 +238,7 @@ class NicPort:
         return frames
 
     def rx_burst_into(self, batch: PacketBatch, max_n: int) -> None:
-        """Columnar variant of :meth:`rx_burst`: sweep waiting frames
+        """Batch variant of :meth:`rx_burst`: sweep waiting frames
         straight into ``batch`` without building an intermediate list."""
         store = self.ingress
         for _ in range(max_n):
@@ -370,8 +381,7 @@ class NfManager:
                  control_policy: ControlPlanePolicy | None = None,
                  miss_fallback: Destination | None = None,
                  burst_size: int = DEFAULT_BURST_SIZE,
-                 pool_size: int = DEFAULT_POOL_SIZE,
-                 columnar: bool = False) -> None:
+                 pool_size: int = DEFAULT_POOL_SIZE) -> None:
         if tx_threads < 1:
             raise ValueError("need at least one TX thread")
         if burst_size < 1:
@@ -385,12 +395,6 @@ class NfManager:
         # once (§4.1's DPDK burst model).  1 degenerates to the strict
         # one-descriptor-per-event pipeline.
         self.burst_size = burst_size
-        # Columnar burst kernel: bursts move as struct-of-arrays
-        # PacketBatch items (packet-weighted rings, per-batch cost
-        # accounting, burst flow lookups) with per-packet descriptor
-        # fallback on slow paths.  Observables are byte-identical to the
-        # object pipeline; False keeps the legacy loops untouched.
-        self.columnar = columnar
         self.controller = controller
         self.conflict_policy = conflict_policy
         self.lookup_cache = lookup_cache
@@ -420,7 +424,7 @@ class NfManager:
         self._balancers: dict[str, ServiceLoadBalancer] = {}
         self._lb_policy = load_balance
         self._tx_queues = [RingBuffer(sim, name=f"{name}/tx{i}", slots=4096,
-                                      columnar=columnar, stats=self.stats)
+                                      stats=self.stats)
                            for i in range(tx_threads)]
         self._vm_tx_assignment: dict[str, RingBuffer] = {}
         self._next_tx = 0
@@ -452,9 +456,8 @@ class NfManager:
         self.rejected_messages = 0
         # Optional structured observability (repro.metrics.eventlog).
         self.event_log: typing.Any | None = None
-        tx_loop = self._tx_loop_columnar if columnar else self._tx_loop
         for queue in self._tx_queues:
-            sim.process(tx_loop(queue))
+            sim.process(self._tx_loop(queue))
         sim.process(self._fc_loop())
         sim.process(self._mgmt_loop())
 
@@ -467,8 +470,7 @@ class NfManager:
             raise ValueError(f"duplicate port {name!r}")
         port = NicPort(self.sim, name, line_rate_gbps, stats=self.stats)
         self.ports[name] = port
-        rx_loop = self._rx_loop_columnar if self.columnar else self._rx_loop
-        self.sim.process(rx_loop(port))
+        self.sim.process(self._rx_loop(port))
         return port
 
     def register_vm(self, nf: NetworkFunction, ring_slots: int = 512,
@@ -512,19 +514,15 @@ class NfManager:
         self.unregister_vm(vm)
         # Salvage order matters: the batch the VM already dequeued (but
         # had not processed) is older than anything still in its ring.
-        drained = vm.take_pending_batch() + vm.rx_ring.drain()
-        if self.columnar:
-            # Batches salvage as rematerialized descriptors so the
-            # requeue/degrade/drop accounting below stays per-packet.
-            flattened: list[PacketDescriptor] = []
-            for item in drained:
-                if isinstance(item, PacketBatch):
-                    flattened.extend(
-                        descriptor for descriptor, _entry
-                        in self._explode_batch(item))
-                else:
-                    flattened.append(item)
-            drained = flattened
+        # Batches salvage as rematerialized descriptors so the
+        # requeue/degrade/drop accounting below stays per-packet.
+        drained: list[PacketDescriptor] = []
+        for item in vm.take_pending_batch() + vm.rx_ring.drain():
+            if item.__class__ is PacketBatch:
+                drained.extend(descriptor for descriptor, _entry
+                               in self._explode_batch(item))
+            else:
+                drained.append(item)
         vm.crash(cause)
         self.stats.failed_vms += 1
         survivors = self.vms_by_service.get(service, ())
@@ -787,36 +785,55 @@ class NfManager:
         ``burst_size - 1`` more that already arrived, then moves the
         whole burst through classify → dispatch with one thread-occupancy
         charge, resolving the flow-table lookup plan once per (flow,
-        burst).  At ``burst_size=1`` the event sequence is exactly the
-        pre-burst one-descriptor-per-event pipeline.
+        burst).  A burst of at least ``_BATCH_MIN`` frames travels as one
+        :class:`PacketBatch` (bulk lookup per distinct flow, one ring
+        enqueue when its flows agree on a single-replica service); a
+        smaller one as per-packet descriptors.  Both forms charge the
+        same costs at the same instants.  At ``burst_size=1`` the event
+        sequence is exactly the one-descriptor-per-event pipeline.
         """
         costs = self.costs
+        stats = self.stats
+        ingress = port.ingress
         while True:
-            packet: Packet = yield port.ingress.get()
-            frames = [packet]
-            if self.burst_size > 1:
-                frames.extend(port.rx_burst(self.burst_size - 1))
-            self.stats.record_rx_batch(len(frames))
-            now = self.sim.now
+            packet: Packet = yield ingress.get()
+            count = 1 + min(self.burst_size - 1, len(ingress.items))
+            stats.record_rx_batch(count)
             burst_plans: dict = {}
-            work = costs.rx_batch_poll_ns
-            classified: list[tuple[PacketDescriptor,
-                                   FlowTableEntry | None]] = []
-            for frame in frames:
-                self.stats.record_rx(frame.size)
-                descriptor = self._desc_alloc(frame, port.name, now)
-                entry, lookup_cost = self._classify_in_burst(descriptor,
-                                                            burst_plans)
-                work += costs.rx_service_ns + lookup_cost
-                classified.append((descriptor, entry))
-            yield self.sim.sleep(work)
-            extra = 0
-            for descriptor, entry in classified:
-                if entry is None:
-                    self._fc_queue.try_put(descriptor)
-                    continue
-                extra += self._follow_entry(descriptor, entry,
-                                            entry.default_action)
+            if count >= _BATCH_MIN:
+                batch = PacketBatch(port.name, self.sim.now)
+                batch.append(packet)
+                port.rx_burst_into(batch, count - 1)
+                stats.record_rx_bulk(count, batch.total_bytes)
+                entries, lookup_cost = self._classify_flows(
+                    port.name, batch.distinct_flows(), burst_plans)
+                yield self.sim.sleep(costs.rx_burst_work_ns(count)
+                                     + lookup_cost)
+                batch.verdict = _RX_VERDICT
+                extra = self._resolve_batch(batch, entries)
+            else:
+                frames = [packet]
+                if count > 1:
+                    frames.extend(port.rx_burst(count - 1))
+                now = self.sim.now
+                work = costs.rx_batch_poll_ns
+                classified: list[tuple[PacketDescriptor,
+                                       FlowTableEntry | None]] = []
+                for frame in frames:
+                    stats.record_rx(frame.size)
+                    descriptor = self._desc_alloc(frame, port.name, now)
+                    entry, lookup_cost = self._classify_in_burst(
+                        descriptor, burst_plans)
+                    work += costs.rx_service_ns + lookup_cost
+                    classified.append((descriptor, entry))
+                yield self.sim.sleep(work)
+                extra = 0
+                for descriptor, entry in classified:
+                    if entry is None:
+                        self._fc_queue.try_put(descriptor)
+                        continue
+                    extra += self._follow_entry(descriptor, entry,
+                                                entry.default_action)
             if extra:
                 yield self.sim.sleep(extra)
 
@@ -860,19 +877,26 @@ class NfManager:
         entry = self.flow_table.lookup(descriptor.scope, flow,
                                        now_ns=self.sim.now)
         if entry is not None:
-            if flow not in self._classified:
-                self._classify_first_contact(flow, entry)
+            self._remember_plan(flow, descriptor.scope, entry, generation)
             descriptor.cache_lookup(entry, generation)
-            if self.lookup_cache:
-                if len(self._plans) >= _PLAN_CACHE_LIMIT:
-                    self._plans.pop(next(iter(self._plans)))
-                plan = self._plans.setdefault(
-                    flow, {"generation": generation, "entries": {}})
-                if plan["generation"] != generation:
-                    plan["generation"] = generation
-                    plan["entries"] = {}
-                plan["entries"][descriptor.scope] = entry
         return entry, cost
+
+    def _remember_plan(self, flow: FiveTuple, scope: str,
+                       entry: FlowTableEntry, generation: int) -> None:
+        """A lookup hit: classify the flow's first contact and fill its
+        per-flow plan (FIFO eviction at the cache bound)."""
+        if flow not in self._classified:
+            self._classify_first_contact(flow, entry)
+        if not self.lookup_cache:
+            return
+        if len(self._plans) >= _PLAN_CACHE_LIMIT:
+            self._plans.pop(next(iter(self._plans)))
+        plan = self._plans.setdefault(
+            flow, {"generation": generation, "entries": {}})
+        if plan["generation"] != generation:
+            plan["generation"] = generation
+            plan["entries"] = {}
+        plan["entries"][scope] = entry
 
     def _classify_first_contact(self, flow: FiveTuple,
                                 entry: FlowTableEntry | None) -> None:
@@ -891,47 +915,19 @@ class NfManager:
         else:
             self.stats.reactive_hits += 1
 
-    # ------------------------------------------------------------------
-    # RX path, columnar variant
-    # ------------------------------------------------------------------
-    def _rx_loop_columnar(self, port: NicPort):
-        """Columnar RX thread: identical event structure to
-        :meth:`_rx_loop` — block for the head frame, sweep the burst,
-        one work sleep, one conditional dispatch sleep — but the burst
-        travels as a single :class:`PacketBatch` and flow plans resolve
-        once per distinct flow via :meth:`FlowTable.lookup_batch`.
-        """
-        costs = self.costs
-        while True:
-            packet: Packet = yield port.ingress.get()
-            batch = PacketBatch(port.name, self.sim.now)
-            batch.append(packet)
-            if self.burst_size > 1:
-                port.rx_burst_into(batch, self.burst_size - 1)
-            count = batch.count
-            self.stats.record_rx_batch(count)
-            self.stats.record_rx_bulk(count, batch.total_bytes)
-            burst_plans: dict = {}
-            entries, lookup_cost = self._classify_flows(
-                port.name, batch.distinct_flows(), burst_plans)
-            yield self.sim.sleep(costs.rx_burst_work_ns(count) + lookup_cost)
-            extra = self._dispatch_batch(batch, entries)
-            if extra:
-                yield self.sim.sleep(extra)
-
     def _classify_flows(self, scope: str,
                         flows: typing.Sequence[FiveTuple],
                         burst_plans: dict
                         ) -> tuple[dict, int]:
         """Resolve a batch's distinct flows against one scope in bulk.
 
-        The columnar analogue of per-descriptor :meth:`_classify_in_burst`
+        The batch analogue of per-descriptor :meth:`_classify_in_burst`
         calls: burst-plan and per-flow plan-cache hits are free, the
         remaining flows go through :meth:`FlowTable.lookup_batch` in one
         round, and every cache side effect (stale-plan invalidation,
         first-contact classification, plan fill with FIFO eviction)
-        happens per flow in arrival order — exactly the object
-        pipeline's mutation sequence.  Returns ``(entries, cost_ns)``.
+        happens per flow in arrival order — exactly the descriptor
+        path's mutation sequence.  Returns ``(entries, cost_ns)``.
         """
         entries: dict = {}
         generation = self.flow_table.generation
@@ -966,17 +962,7 @@ class NfManager:
                     if plan is not None and plan["generation"] != generation:
                         del self._plans[flow]
                 if entry is not None:
-                    if flow not in self._classified:
-                        self._classify_first_contact(flow, entry)
-                    if self.lookup_cache:
-                        if len(self._plans) >= _PLAN_CACHE_LIMIT:
-                            self._plans.pop(next(iter(self._plans)))
-                        plan = self._plans.setdefault(
-                            flow, {"generation": generation, "entries": {}})
-                        if plan["generation"] != generation:
-                            plan["generation"] = generation
-                            plan["entries"] = {}
-                        plan["entries"][scope] = entry
+                    self._remember_plan(flow, scope, entry, generation)
                 burst_plans[(scope, flow)] = entry
                 entries[flow] = entry
         self.stats.lookup_batch_hits += hits
@@ -1081,44 +1067,8 @@ class NfManager:
         return cost
 
     # ------------------------------------------------------------------
-    # Dispatch, columnar variant
+    # Dispatch, batch form
     # ------------------------------------------------------------------
-    def _dispatch_batch(self, batch: PacketBatch, entries: dict) -> int:
-        """Dispatch an RX batch along its flows' default actions.
-
-        When every flow resolves to the same single-replica non-parallel
-        service, the batch stays columnar and moves in one ring enqueue;
-        anything else (miss, parallel rule, multi-replica balancing,
-        port/drop default, mixed destinations) rematerializes descriptors
-        and walks the object path per packet.  Returns extra service cost
-        to charge, exactly as the object dispatch loop would.
-        """
-        target: str | None = None
-        bulk = True
-        for entry in entries.values():
-            if entry is None or entry.parallel:
-                bulk = False
-                break
-            destination = entry.default_action
-            if not isinstance(destination, ToService):
-                bulk = False
-                break
-            if target is None:
-                target = destination.service_id
-            elif destination.service_id != target:
-                bulk = False
-                break
-        if bulk and target is not None and self._bulk_service_ok(target):
-            return self._dispatch_batch_to_service(batch, target)
-        extra = 0
-        for descriptor, entry in self._explode_batch(batch, entries):
-            if entry is None:
-                self._fc_queue.try_put(descriptor)
-                continue
-            extra += self._follow_entry(descriptor, entry,
-                                        entry.default_action)
-        return extra
-
     def _bulk_service_ok(self, service_id: str) -> bool:
         """A batch may move to this service without per-packet decisions:
         exactly one replica (the balancer is then a constant) and no
@@ -1153,7 +1103,7 @@ class NfManager:
                                        FlowTableEntry | None]]:
         """Rematerialize a batch into per-packet descriptors (slow path).
 
-        The fallback boundary of the columnar kernel: every packet gets a
+        The fallback boundary of the batch path: every packet gets a
         descriptor carrying the batch's scalar verdict/priority plus its
         flow's cached lookup, and ``object_fallbacks`` counts the
         rematerializations.
@@ -1178,119 +1128,58 @@ class NfManager:
     # ------------------------------------------------------------------
     # TX path
     # ------------------------------------------------------------------
-    def tx_submit(self, descriptor: PacketDescriptor, vm: NfVm) -> None:
-        """Called by a VM when its NF finished with a packet."""
-        self.tx_submit_burst([descriptor], vm)
-
-    def tx_submit_burst(self, descriptors: typing.Sequence[PacketDescriptor],
+    def tx_submit_burst(self, items: typing.Sequence[typing.Any],
                         vm: NfVm) -> None:
-        """Hand a VM's completed batch to its TX thread in one shot."""
+        """Hand a VM's completed burst (descriptors and batches) to its
+        TX thread in one shot; the queue counts capacity in packets."""
         queue = self._vm_tx_assignment[vm.vm_id]
-        if self.columnar:
-            # Items may be PacketBatch or descriptors; the queue accounts
-            # capacity in packets either way.
-            for item in descriptors:
-                if isinstance(item, PacketBatch):
-                    n = item.count
-                    accepted = queue.enqueue_batch(item)
-                    if accepted < n:
-                        self.stats.dropped_ring_full += n - accepted
-                        for packet in item.packets:
-                            self._release(packet)
-                elif not queue.try_enqueue(item):
-                    self.stats.dropped_ring_full += 1
-                    if not self._group_member_lost(item):
-                        self._release(item.packet)
-                    self._desc_free(item)
-            return
-        accepted = queue.enqueue_burst(descriptors)
-        for descriptor in descriptors[accepted:]:
-            self.stats.dropped_ring_full += 1
-            if not self._group_member_lost(descriptor):
-                self._release(descriptor.packet)
-            self._desc_free(descriptor)
+        for item in items:
+            if item.__class__ is PacketBatch:
+                n = item.count
+                accepted = queue.enqueue_batch(item)
+                if accepted < n:
+                    self.stats.dropped_ring_full += n - accepted
+                    for packet in item.packets:
+                        self._release(packet)
+            elif not queue.try_enqueue(item):
+                self._drop(item, "dropped_ring_full")
 
     def _tx_loop(self, queue: RingBuffer):
-        """One TX thread: burst-drain completed descriptors, resolve.
+        """One TX thread: burst-drain completed items, resolve.
 
-        Mirrors the RX side: block for the head descriptor, sweep the
-        rest of the burst, then charge drain + per-packet resolution
-        once, absorbing parallel-group members and re-resolving lookup
-        plans once per (flow, burst).  ``burst_size=1`` reproduces the
-        pre-burst event sequence exactly (including the unconditional
-        merge delay after a group completes).
+        Mirrors the RX side: block for the head item, sweep the rest of
+        the burst (``burst_size`` packets, a batch weighing its packet
+        count), then charge drain + per-packet resolution once,
+        absorbing parallel-group members and re-resolving lookup plans
+        once per (flow, burst).  Batches resolve in bulk when their
+        flows agree.  ``burst_size=1`` reproduces the one-descriptor
+        event sequence exactly (including the unconditional merge delay
+        after a group completes).
         """
-        costs = self.costs
-        while True:
-            head: PacketDescriptor = yield queue.get()
-            batch = [head]
-            if self.burst_size > 1:
-                batch.extend(queue.dequeue_burst(self.burst_size - 1))
-            self.stats.record_tx_batch(len(batch))
-            yield self.sim.sleep(costs.tx_batch_poll_ns
-                                 + costs.tx_service_ns * len(batch))
-            merged_any = False
-            merge_cost = 0
-            survivors: list[PacketDescriptor] = []
-            for descriptor in batch:
-                if descriptor.group_id is not None:
-                    merged = self._absorb_group_member(descriptor)
-                    if merged is None:
-                        continue
-                    descriptor, member_count = merged
-                    merged_any = True
-                    merge_cost += (costs.parallel_merge_ns
-                                   * max(0, member_count - 1))
-                survivors.append(descriptor)
-            if merged_any:
-                yield self.sim.sleep(merge_cost)
-            burst_plans: dict = {}
-            lookup_total = 0
-            resolved: list[tuple[PacketDescriptor,
-                                 FlowTableEntry | None]] = []
-            for descriptor in survivors:
-                assert descriptor.verdict is not None
-                entry, lookup_cost = self._classify_in_burst(descriptor,
-                                                             burst_plans)
-                lookup_total += lookup_cost
-                resolved.append((descriptor, entry))
-            if lookup_total:
-                yield self.sim.sleep(lookup_total)
-            extra = 0
-            for descriptor, entry in resolved:
-                extra += self._resolve_verdict(descriptor, entry)
-            if extra:
-                yield self.sim.sleep(extra)
-
-    def _tx_loop_columnar(self, queue: RingBuffer):
-        """Columnar TX thread: same event structure as :meth:`_tx_loop`
-        (head get, burst sweep, work sleep, conditional merge / lookup /
-        dispatch sleeps) with the drain budget counted in packets and
-        uniform batches resolved in bulk."""
         costs = self.costs
         while True:
             head = yield queue.get()
             items = [head]
-            weight = batch_weight(head)
+            weight = head.count if head.__class__ is PacketBatch else 1
             if weight < self.burst_size:
-                more = queue.dequeue_packets(self.burst_size - weight)
-                items.extend(more)
-                for item in more:
-                    weight += batch_weight(item)
+                items.extend(queue.dequeue_packets(self.burst_size - weight))
+            weight = len(items)
+            batches = 0
+            for item in items:
+                if item.__class__ is PacketBatch:
+                    weight += item.count - 1
+                    batches += 1
             self.stats.record_tx_batch(weight)
-            columnar_items = sum(1 for item in items
-                                 if isinstance(item, PacketBatch))
-            if columnar_items > 1:
+            if batches > 1:
                 # One drain charge covered several batches' packets.
-                self.stats.batch_merges += columnar_items - 1
+                self.stats.batch_merges += batches - 1
             yield self.sim.sleep(costs.tx_burst_work_ns(weight))
             merged_any = False
             merge_cost = 0
             survivors: list = []
             for item in items:
-                # Batches never carry parallel-group members; only
-                # descriptors can need absorbing.
-                if (not isinstance(item, PacketBatch)
+                # Batches never carry parallel-group members.
+                if (item.__class__ is not PacketBatch
                         and item.group_id is not None):
                     merged = self._absorb_group_member(item)
                     if merged is None:
@@ -1306,22 +1195,21 @@ class NfManager:
             lookup_total = 0
             resolved: list = []
             for item in survivors:
-                if isinstance(item, PacketBatch):
+                if item.__class__ is PacketBatch:
                     entries, lookup_cost = self._classify_flows(
                         item.scope, item.distinct_flows(), burst_plans)
-                    lookup_total += lookup_cost
                     resolved.append((item, entries))
                 else:
                     assert item.verdict is not None
-                    entry, lookup_cost = self._classify_in_burst(item,
-                                                                 burst_plans)
-                    lookup_total += lookup_cost
+                    entry, lookup_cost = self._classify_in_burst(
+                        item, burst_plans)
                     resolved.append((item, entry))
+                lookup_total += lookup_cost
             if lookup_total:
                 yield self.sim.sleep(lookup_total)
             extra = 0
             for item, entry in resolved:
-                if isinstance(item, PacketBatch):
+                if item.__class__ is PacketBatch:
                     extra += self._resolve_batch(item, entry)
                 else:
                     extra += self._resolve_verdict(item, entry)
@@ -1333,8 +1221,11 @@ class NfManager:
 
         Bulk paths: a discard verdict, or every flow agreeing on one
         destination that is a known port, a bulk-eligible service, or a
-        drop.  A Send-to that any flow's rule disallows falls back to the
-        object path so per-packet policy accounting runs unchanged.
+        drop.  Anything else — a miss, a parallel rule, a multi-replica
+        service, mixed destinations, a Send-to that any flow's rule
+        disallows — rematerializes descriptors and resolves them one by
+        one, so per-packet accounting runs unchanged.  Returns the extra
+        service cost to charge, exactly as the descriptor loop would.
         """
         verdict = batch.verdict
         assert verdict is not None

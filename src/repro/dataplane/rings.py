@@ -23,38 +23,34 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 DEFAULT_RING_SLOTS = 512
 
 
-def batch_weight(item: typing.Any) -> int:
-    """Slots an item occupies: a batch weighs its packet count."""
-    return item.count if isinstance(item, PacketBatch) else 1
-
-
 class RingBuffer:
-    """A bounded descriptor queue with drop-on-full producer semantics.
+    """A bounded queue with drop-on-full producer semantics.
 
-    In ``columnar`` mode the ring moves :class:`PacketBatch` items
-    alongside plain descriptors and accounts capacity in *packets*, not
-    items: a 32-packet batch occupies 32 slots, so drop behaviour is
-    identical to the object pipeline enqueueing 32 descriptors.  Batches
-    split FIFO-prefix-wise at the capacity boundary and at consumer
-    dequeue budgets; splits are reported to ``stats.batch_splits``.
+    Capacity counts *packets*: a descriptor fills one slot and a
+    :class:`PacketBatch` one slot per packet, so drops are identical
+    whichever form a burst travels in.  Only the batches' extra weight
+    is tracked beside the store: the store's item bound is kept at
+    ``slots - extra``, so descriptor puts and gets are the plain
+    :class:`Store` operations.  Batches split FIFO-prefix-wise at the
+    capacity boundary and at consumer dequeue budgets; splits are
+    reported to ``stats.batch_splits``.
     """
 
     def __init__(self, sim: Simulator, name: str,
                  slots: int = DEFAULT_RING_SLOTS,
-                 columnar: bool = False,
                  stats: HostStats | None = None) -> None:
         if slots <= 0:
             raise ValueError("ring must have at least one slot")
         self.name = name
         self.slots = slots
-        self.columnar = columnar
         self.stats = stats
         # Ring poll events are only ever yielded by the consumer loop, so
         # they recycle through the simulator's kernel free list.
         self._store = Store(sim, capacity=slots, recycle=True)
-        # Deque-resident packet count (items handed straight to a parked
-        # consumer never transit the deque, mirroring Store occupancy).
-        self._packets = 0
+        # Queued packets beyond one per deque item (a batch of n adds
+        # n - 1).  Items handed straight to a parked consumer never
+        # transit the deque and never count here.
+        self._extra = 0
         self.enqueued = 0
         self.dropped = 0
 
@@ -64,41 +60,43 @@ class RingBuffer:
     @property
     def occupancy(self) -> int:
         """Occupied slots — what queue-length load balancing inspects."""
-        if self.columnar:
-            return self._packets
-        return len(self._store)
+        return len(self._store.items) + self._extra
 
     @property
     def is_full(self) -> bool:
-        if self.columnar:
-            return self._packets >= self.slots
         return self._store.is_full
 
-    def _put_one(self, item: typing.Any) -> bool:
-        """Single-slot put with packet-weighted capacity in columnar
-        mode (same handoff-then-append discipline as ``Store.try_put``)."""
-        if not self.columnar:
-            return self._store.try_put(item)
-        store = self._store
-        items = store.items
-        if store._getters and not items:
-            getter = store._pop_live_getter()
-            if getter is not None:
-                getter.succeed(item)
-                return True
-        if self._packets >= self.slots:
-            return False
-        items.append(item)
-        self._packets += 1
-        return True
+    def _reweigh(self, delta: int) -> None:
+        """Queued batches gained ``delta`` packets of extra weight."""
+        self._extra += delta
+        self._store.capacity -= delta
 
     def try_enqueue(self, item: typing.Any) -> bool:
-        """Producer side: non-blocking put; False means the packet dropped."""
-        if self._put_one(item):
+        """Producer side: non-blocking put of one descriptor; False
+        means the packet dropped."""
+        if self._store.try_put(item):
             self.enqueued += 1
             return True
         self.dropped += 1
         return False
+
+    def enqueue_burst(self, items: typing.Sequence[typing.Any]) -> int:
+        """Producer side: enqueue descriptors, dropping the tail when full.
+
+        DPDK ``rte_ring_enqueue_burst`` semantics: items are accepted in
+        order until the ring fills; the number accepted is returned and
+        every rejected item counts as one drop (per-slot accounting is
+        identical to ``len(items)`` calls to :meth:`try_enqueue`).
+        """
+        put = self._store.try_put
+        accepted = 0
+        for item in items:
+            if not put(item):
+                break
+            accepted += 1
+        self.enqueued += accepted
+        self.dropped += len(items) - accepted
+        return accepted
 
     def enqueue_batch(self, batch: PacketBatch) -> int:
         """Producer side: enqueue a whole batch without per-item boxing.
@@ -114,28 +112,24 @@ class RingBuffer:
         if n == 0:
             return 0
         store = self._store
-        items = store.items
-        if store._getters and not items:
+        if store._getters and not store.items:
             getter = store._pop_live_getter()
             if getter is not None:
                 # A parked consumer takes the head straight off the wire
-                # (object parity: one descriptor hands off, the rest
+                # (descriptor parity: one descriptor hands off, the rest
                 # append subject to capacity — min(n, slots + 1) total).
                 accepted = min(n, self.slots + 1)
-                handed = batch if accepted == n else self._split(
-                    batch, accepted)
-                getter.succeed(handed)
+                getter.succeed(batch if accepted == n
+                               else self._split(batch, accepted))
                 self.enqueued += accepted
                 self.dropped += n - accepted
                 return accepted
-        accepted = min(n, self.slots - self._packets)
-        if accepted > 0:
-            handed = batch if accepted == n else self._split(batch, accepted)
-            items.append(handed)
-            self._packets += accepted
+        accepted = max(0, min(n, self.slots - self.occupancy))
+        if accepted:
+            store.items.append(batch if accepted == n
+                               else self._split(batch, accepted))
+            self._reweigh(accepted - 1)
             self.enqueued += accepted
-        else:
-            accepted = 0
         self.dropped += n - accepted
         return accepted
 
@@ -143,45 +137,6 @@ class RingBuffer:
         if self.stats is not None:
             self.stats.batch_splits += 1
         return batch.split(k)
-
-    def dequeue_packets(self, budget: int) -> list[typing.Any]:
-        """Consumer side: remove whole items worth up to ``budget``
-        packets, splitting the deque head when it straddles the budget.
-
-        The columnar analogue of ``dequeue_burst`` — the consumer drains
-        exactly the packets the object pipeline would have dequeued as
-        individual descriptors.
-        """
-        items: list[typing.Any] = []
-        store_items = self._store.items
-        while budget > 0 and store_items:
-            head = store_items[0]
-            weight = batch_weight(head)
-            if weight <= budget:
-                items.append(self.try_get())
-                budget -= weight
-            else:
-                items.append(self._split(head, budget))
-                self._packets -= budget
-                break
-        return items
-
-    def enqueue_burst(self, items: typing.Sequence[typing.Any]) -> int:
-        """Producer side: enqueue a burst, dropping the tail when full.
-
-        DPDK ``rte_ring_enqueue_burst`` semantics: items are accepted in
-        order until the ring fills; the number accepted is returned and
-        every rejected item counts as one drop (per-slot accounting is
-        identical to ``len(items)`` calls to :meth:`try_enqueue`).
-        """
-        accepted = 0
-        for item in items:
-            if not self._put_one(item):
-                break
-            self.enqueued += 1
-            accepted += 1
-        self.dropped += len(items) - accepted
-        return accepted
 
     def dequeue_burst(self, max_n: int) -> list[typing.Any]:
         """Consumer side: remove and return up to ``max_n`` queued items.
@@ -198,22 +153,39 @@ class RingBuffer:
             items.append(item)
         return items
 
+    def dequeue_packets(self, budget: int) -> list[typing.Any]:
+        """Consumer side: remove whole items worth up to ``budget``
+        packets, splitting the deque head when it straddles the budget —
+        exactly the packets ``budget`` descriptor dequeues would take."""
+        if not self._extra:
+            # Every queued item weighs one packet.
+            return self.dequeue_burst(budget)
+        items: list[typing.Any] = []
+        store_items = self._store.items
+        while budget > 0 and store_items:
+            head = store_items[0]
+            weight = head.count if head.__class__ is PacketBatch else 1
+            if weight > budget:
+                items.append(self._split(head, budget))
+                self._reweigh(-budget)
+                break
+            items.append(self.try_get())
+            budget -= weight
+        return items
+
     def get(self) -> Event:
-        """Consumer side: event yielding the next descriptor."""
-        if self.columnar:
-            items = self._store.items
-            head = items[0] if items else None
-            event = self._store.get()
-            if head is not None:
-                # A non-empty store satisfies the get synchronously.
-                self._packets -= batch_weight(head)
-            return event
+        """Consumer side: event yielding the next item."""
+        if self._extra:
+            # A non-empty store satisfies the get synchronously.
+            head = self._store.items[0]
+            if head.__class__ is PacketBatch:
+                self._reweigh(1 - head.count)
         return self._store.get()
 
     def try_get(self) -> typing.Any | None:
         item = self._store.try_get()
-        if item is not None and self.columnar:
-            self._packets -= batch_weight(item)
+        if self._extra and item.__class__ is PacketBatch:
+            self._reweigh(1 - item.count)
         return item
 
     def drain(self) -> list[typing.Any]:

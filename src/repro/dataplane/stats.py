@@ -60,11 +60,12 @@ class HostStats:
     rx_batches: int = 0
     tx_batches: int = 0
     vm_batches: int = 0
-    # Columnar kernel: batches built at RX, packets rematerialized to
-    # descriptors for slow paths (the fallback rate), burst flow-lookup
-    # rounds and their dedup hits, and batch split/merge structure
-    # audits (splits at ring/budget boundaries, merges when one service
-    # charge covers several batches).  All zero when columnar=False.
+    # Batch path: RX bursts that travelled as a PacketBatch, packets
+    # rematerialized to descriptors for slow paths (the fallback rate),
+    # burst flow-lookup rounds and their dedup hits, and batch
+    # split/merge structure audits (splits at ring/budget boundaries,
+    # merges when one drain charge covers several batches).  All zero
+    # while every RX burst is smaller than the batching threshold.
     columnar_batches: int = 0
     object_fallbacks: int = 0
     lookup_batches: int = 0

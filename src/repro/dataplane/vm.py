@@ -21,8 +21,7 @@ import typing
 
 from repro.dataplane.costs import HostCosts
 from repro.dataplane.descriptors import PacketDescriptor
-from repro.dataplane.rings import (DEFAULT_RING_SLOTS, RingBuffer,
-                                   batch_weight)
+from repro.dataplane.rings import DEFAULT_RING_SLOTS, RingBuffer
 from repro.net.batch import PacketBatch
 from repro.nfs.base import NetworkFunction, NfContext
 from repro.sim.events import Interrupt
@@ -49,7 +48,6 @@ class NfVm:
         self.priority = priority
         self.rx_ring = RingBuffer(self.sim, name=f"{self.vm_id}/rx",
                                   slots=ring_slots,
-                                  columnar=manager.columnar,
                                   stats=manager.stats)
         self.packets_processed = 0
         self.packets_lost = 0
@@ -61,8 +59,8 @@ class NfVm:
         # (salvageable on failure) and ``_busy_until_ns`` tells the
         # watchdog how long the current batch legitimately runs.
         self.last_progress_ns = 0
-        self.inflight: PacketDescriptor | None = None
-        self._pending: list[PacketDescriptor] = []
+        self.inflight: PacketDescriptor | PacketBatch | None = None
+        self._pending: list[PacketDescriptor | PacketBatch] = []
         self._busy_until_ns = 0
         self.failed = False
         self.failure_cause: str | None = None
@@ -105,23 +103,32 @@ class NfVm:
                         min(self._busy_until_ns, now_ns))
         return now_ns - reference >= heartbeat_timeout_ns
 
-    def take_pending_batch(self) -> list[PacketDescriptor]:
-        """Remove and return the dequeued-but-unprocessed batch tail.
+    def take_pending_batch(self) -> list:
+        """Remove and return the dequeued-but-unprocessed burst tail.
 
-        Failover salvage (``NfManager.fail_vm``): descriptors the thread
-        had burst-dequeued but not started are recoverable intact — only
-        the in-flight head dies with the VM.
+        Failover salvage (``NfManager.fail_vm``): items the thread had
+        burst-dequeued but not started are recoverable intact — only
+        the in-flight head packet dies with the VM.
         """
+        self._detach_inflight_tail()
         pending, self._pending = self._pending, []
         return pending
+
+    def _detach_inflight_tail(self) -> None:
+        """Narrow an in-flight batch to its head packet, moving the rest
+        to the front of ``_pending``: a crash loses exactly the packet a
+        descriptor burst would have lost."""
+        batch = self.inflight
+        if batch.__class__ is PacketBatch and batch.count > 1:
+            self.inflight = batch.split(1)
+            self._pending.insert(0, batch)
 
     def start(self) -> None:
         """Begin the VM's packet loop (called at registration)."""
         if self._process is not None:
             raise RuntimeError(f"{self.vm_id} already started")
         self.nf.on_register(self.ctx)
-        loop = self._run_columnar if self.manager.columnar else self._run
-        self._process = self.sim.process(loop())
+        self._process = self.sim.process(self._run())
 
     # ------------------------------------------------------------------
     # Fault surface (driven by repro.faults)
@@ -151,86 +158,25 @@ class NfVm:
     def _run(self):
         """The VM's packet loop: burst-dequeue, process, hand off.
 
-        The thread blocks for the head descriptor, sweeps the rest of the
-        burst from its ring, then serves the whole batch under a single
-        occupancy charge.  ``inflight`` holds the batch head (the packet
-        that dies on a crash); the tail stays in ``_pending`` until the
-        batch completes, so mid-batch failures salvage it intact.  At
+        The thread blocks for the head item, sweeps the rest of the
+        burst from its ring (``burst_size`` packets, a batch weighing
+        its packet count), then serves the whole burst under a single
+        occupancy charge and hands it off with one timer per distinct
+        delivery delay.  A :class:`PacketBatch` goes to the NF in one
+        :meth:`~repro.nfs.base.NetworkFunction.handle_batch` call when
+        the NF implements ``process_batch`` with a flat cost; otherwise
+        it is exploded to descriptors *before* the work sleep, so
+        per-packet costs and crash accounting see exactly what the
+        descriptor path would (counted in ``object_fallbacks``).
+        ``inflight`` holds the burst head (the packet that dies on a
+        crash); the tail stays in ``_pending`` until the burst
+        completes, so mid-burst failures salvage it intact.  At
         ``burst_size=1`` this is event-for-event the single-packet loop.
         """
-        costs: HostCosts = self.manager.costs
-        try:
-            while True:
-                descriptor: PacketDescriptor = yield self.rx_ring.get()
-                batch = [descriptor]
-                if self.manager.burst_size > 1:
-                    batch.extend(
-                        self.rx_ring.dequeue_burst(
-                            self.manager.burst_size - 1))
-                self.manager.stats.record_vm_batch(len(batch))
-                self.inflight = batch[0]
-                self._pending = batch[1:]
-                self.last_progress_ns = self.sim.now
-                if self._hung:
-                    # Wedged mid-packet: block on an event that never
-                    # fires.  Only an interrupt (watchdog kill) resumes us.
-                    yield self.sim.event()
-                jobs = [(item,
-                         costs.vm_service_ns
-                         + self.nf.processing_cost_ns(item.packet, self.ctx))
-                        for item in batch]
-                work = costs.vm_batch_poll_ns + sum(cost
-                                                    for _, cost in jobs)
-                self._busy_until_ns = self.sim.now + work
-                yield self.sim.sleep(work)
-                self.busy_ns += work
-                # Batch complete: emit verdicts and group the handoff by
-                # delivery delay (one timer per distinct delay, not one
-                # per packet).
-                handoff: dict[int, list[PacketDescriptor]] = {}
-                for item, _cost in jobs:
-                    self.packets_processed += 1
-                    item.verdict = self.nf.handle_packet(item.packet,
-                                                         self.ctx)
-                    item.scope = self.service_id
-                    item.vm_priority = self.priority
-                    # Ring hops + poll-batching pickup are latency, not
-                    # occupancy: hand the descriptor to the TX tier after
-                    # a non-blocking delay.  Parallel-group members are
-                    # staggered by their index, modeling cache contention
-                    # on the shared packet buffer.
-                    delay = costs.vm_pipeline_latency_ns
-                    if item.group_id is not None:
-                        # Merge stage: journal this member's writes while
-                        # still in the handler's event (before any other
-                        # member can touch the shared packet).
-                        self.manager._capture_group_writes(item)
-                        delay += (costs.parallel_stagger_ns
-                                  * item.group_index)
-                    handoff.setdefault(delay, []).append(item)
-                self._pending = []
-                self.inflight = None
-                self.last_progress_ns = self.sim.now
-                for delay, done in handoff.items():
-                    # Bare timer lane: the handoff needs no Event object.
-                    self.sim.call_later(delay, self._submit_batch, done)
-        except Interrupt as interrupt:
-            self._on_killed(str(interrupt.cause or "crash"))
-
-    def _run_columnar(self):
-        """The columnar packet loop: same event structure as :meth:`_run`
-        (head get, packet-budget sweep, one work sleep, one handoff timer
-        per distinct delay), but uniform batches of an NF that implements
-        :meth:`~repro.nfs.base.NetworkFunction.process_batch` are served
-        with a single call and never rematerialized.  NFs without batch
-        support (or with data-dependent costs) get their batches exploded
-        to descriptors before the work sleep — correct, just counted in
-        ``object_fallbacks``.  On a crash the whole in-flight head item
-        dies: for a batch that is every packet in it, the columnar
-        analogue of losing the head descriptor.
-        """
-        costs: HostCosts = self.manager.costs
-        nf_type = type(self.nf)
+        manager = self.manager
+        costs: HostCosts = manager.costs
+        nf, ctx = self.nf, self.ctx
+        nf_type = type(nf)
         batch_ok = (
             nf_type.process_batch is not NetworkFunction.process_batch
             and nf_type.processing_cost_ns
@@ -239,69 +185,78 @@ class NfVm:
             while True:
                 head = yield self.rx_ring.get()
                 items = [head]
-                weight = batch_weight(head)
-                if weight < self.manager.burst_size:
-                    more = self.rx_ring.dequeue_packets(
-                        self.manager.burst_size - weight)
-                    items.extend(more)
-                    for item in more:
-                        weight += batch_weight(item)
-                self.manager.stats.record_vm_batch(weight)
-                # Explode batches the NF can't take whole *before* the
-                # work sleep, so per-packet costs and crash accounting
-                # see descriptors, exactly like the object loop.
+                weight = head.count if head.__class__ is PacketBatch else 1
+                if weight < manager.burst_size:
+                    items.extend(self.rx_ring.dequeue_packets(
+                        manager.burst_size - weight))
                 work_items: list = []
+                weight = 0
                 for item in items:
-                    if isinstance(item, PacketBatch) and not batch_ok:
+                    if item.__class__ is not PacketBatch:
+                        weight += 1
+                        work_items.append(item)
+                        continue
+                    weight += item.count
+                    if batch_ok:
+                        work_items.append(item)
+                    else:
                         work_items.extend(
                             descriptor for descriptor, _entry
-                            in self.manager._explode_batch(item))
-                    else:
-                        work_items.append(item)
+                            in manager._explode_batch(item))
+                manager.stats.record_vm_batch(weight)
                 self.inflight = work_items[0]
                 self._pending = work_items[1:]
                 self.last_progress_ns = self.sim.now
                 if self._hung:
+                    # Wedged mid-packet: block on an event that never
+                    # fires.  Only an interrupt (watchdog kill) resumes us.
                     yield self.sim.event()
                 jobs = []
                 work = costs.vm_batch_poll_ns
                 for item in work_items:
-                    if isinstance(item, PacketBatch):
-                        cost = ((costs.vm_service_ns
-                                 + self.nf.per_packet_cost_ns) * item.count)
+                    if item.__class__ is PacketBatch:
+                        cost = ((costs.vm_service_ns + nf.per_packet_cost_ns)
+                                * item.count)
                     else:
                         cost = (costs.vm_service_ns
-                                + self.nf.processing_cost_ns(item.packet,
-                                                             self.ctx))
+                                + nf.processing_cost_ns(item.packet, ctx))
                     jobs.append((item, cost))
                     work += cost
                 self._busy_until_ns = self.sim.now + work
                 yield self.sim.sleep(work)
                 self.busy_ns += work
+                # Burst complete: emit verdicts and group the handoff by
+                # delivery delay (one timer per distinct delay, not one
+                # per packet).
                 handoff: dict[int, list] = {}
                 for item, _cost in jobs:
-                    if isinstance(item, PacketBatch):
+                    batch = item.__class__ is PacketBatch
+                    if batch:
                         self.packets_processed += item.count
-                        item.verdict = self.nf.handle_batch(item, self.ctx)
-                        item.scope = self.service_id
-                        item.vm_priority = self.priority
-                        delay = costs.vm_pipeline_latency_ns
+                        item.verdict = nf.handle_batch(item, ctx)
                     else:
                         self.packets_processed += 1
-                        item.verdict = self.nf.handle_packet(item.packet,
-                                                             self.ctx)
-                        item.scope = self.service_id
-                        item.vm_priority = self.priority
-                        delay = costs.vm_pipeline_latency_ns
-                        if item.group_id is not None:
-                            self.manager._capture_group_writes(item)
-                            delay += (costs.parallel_stagger_ns
-                                      * item.group_index)
+                        item.verdict = nf.handle_packet(item.packet, ctx)
+                    item.scope = self.service_id
+                    item.vm_priority = self.priority
+                    # Ring hops + poll-batching pickup are latency, not
+                    # occupancy: hand the item to the TX tier after a
+                    # non-blocking delay.  Parallel-group members (never
+                    # batches) are staggered by their index, modeling
+                    # cache contention on the shared packet buffer.
+                    delay = costs.vm_pipeline_latency_ns
+                    if not batch and item.group_id is not None:
+                        # Merge stage: journal this member's writes while
+                        # still in the handler's event (before any other
+                        # member can touch the shared packet).
+                        manager._capture_group_writes(item)
+                        delay += costs.parallel_stagger_ns * item.group_index
                     handoff.setdefault(delay, []).append(item)
                 self._pending = []
                 self.inflight = None
                 self.last_progress_ns = self.sim.now
                 for delay, done in handoff.items():
+                    # Bare timer lane: the handoff needs no Event object.
                     self.sim.call_later(delay, self._submit_batch, done)
         except Interrupt as interrupt:
             self._on_killed(str(interrupt.cause or "crash"))
@@ -313,28 +268,23 @@ class NfVm:
         self.failed = True
         self.failure_cause = cause
         self._hung = False
-        if isinstance(self.inflight, PacketBatch):
-            # Columnar head item: the whole batch was in the NF's hands.
-            batch, self.inflight = self.inflight, None
-            count = batch.count
-            self.packets_lost += count
-            self.manager.stats.lost_in_nf += count
-            for packet in batch.packets:
-                packet.free()
+        self._detach_inflight_tail()
+        if self.inflight is None:
             return
-        if self.inflight is not None:
-            # The packet the NF was holding dies with it.  A parallel-
-            # group member must run group bookkeeping first: when every
-            # other member already reported, the merge consumes this
-            # reference and the buffer lives on — freeing it here would
-            # be the use-after-release the ownership verifier exists to
-            # catch.
-            descriptor, self.inflight = self.inflight, None
-            self.packets_lost += 1
-            self.manager.stats.lost_in_nf += 1
-            if not self.manager._group_member_lost(descriptor):
-                descriptor.packet.free()
-            self.manager._desc_free(descriptor)
+        # The packet the NF was holding dies with it.  A parallel-group
+        # member must run group bookkeeping first: when every other
+        # member already reported, the merge consumes this reference and
+        # the buffer lives on — freeing it here would be the
+        # use-after-release the ownership verifier exists to catch.
+        item, self.inflight = self.inflight, None
+        self.packets_lost += 1
+        self.manager.stats.lost_in_nf += 1
+        if item.__class__ is PacketBatch:
+            item.packets[0].free()
+            return
+        if not self.manager._group_member_lost(item):
+            item.packet.free()
+        self.manager._desc_free(item)
 
     def __repr__(self) -> str:
         state = " FAILED" if self.failed else ""

@@ -1,8 +1,9 @@
 """Struct-of-arrays packet batches for the columnar burst kernel.
 
-The object pipeline (PR 2/3) moves one ``PacketDescriptor`` per packet
-through the rings; every hot-loop touch is a Python attribute access.
-A :class:`PacketBatch` instead represents one burst-sized run of packets
+A small burst moves through the rings as one ``PacketDescriptor`` per
+packet; every hot-loop touch is a Python attribute access.  A burst of
+at least ``repro.dataplane.manager._BATCH_MIN`` packets travels as a
+:class:`PacketBatch` instead: one burst-sized run of packets
 that share a scope and (after an NF pass) a verdict, keeping the
 per-packet facts as parallel *columns*:
 

@@ -144,8 +144,8 @@ class NetworkFunction:
         """Handle a whole columnar batch with one verdict.
 
         Opt-in: NFs that can decide from the batch columns (or one pass
-        over uniform-flow metadata) override this, and the columnar VM
-        loop then skips per-packet materialization entirely.  NFs that
+        over uniform-flow metadata) override this, and the VM loop then
+        serves a batch without per-packet materialization.  NFs that
         leave it unimplemented get rematerialized ``Packet`` objects via
         :meth:`process` — correct, just slower (counted in
         ``HostStats.object_fallbacks``).  Only called when
@@ -155,7 +155,7 @@ class NetworkFunction:
         raise NotImplementedError
 
     def handle_batch(self, batch: PacketBatch, ctx: NfContext) -> Verdict:
-        """Wrapper the columnar VM loop calls — bookkeeping identical
+        """Wrapper the VM loop calls for a batch — bookkeeping identical
         to ``batch.count`` :meth:`handle_packet` calls."""
         self.packets_seen += batch.count
         verdict = self.process_batch(batch, ctx)

@@ -139,10 +139,6 @@ class Scenario:
     line_rate_gbps: float = 10.0
     burst_size: int = DEFAULT_BURST_SIZE
     pool_size: int = DEFAULT_POOL_SIZE
-    # Columnar burst kernel: move bursts as PacketBatch columns through
-    # RX/ring/VM/TX instead of per-packet descriptors (byte-identical
-    # results, faster wall clock).  Passed through to every NfvHost.
-    columnar: bool = False
     # Attach the descriptor-ownership verifier to every host
     # (repro.analysis.ownership.HostVerifier): the boundary capture
     # (pool reclaim at the source) and delivery (pool alloc + NIC
@@ -411,7 +407,6 @@ class ShardRuntime:
             line_rate_gbps=scenario.line_rate_gbps,
             burst_size=scenario.burst_size,
             pool_size=scenario.pool_size,
-            columnar=scenario.columnar,
             verify=scenario.verify,
             seed=scenario.seed,
             only_hosts=self.owned)

@@ -24,12 +24,10 @@ from repro.sim.randomness import RandomStreams
 from repro.sim.simulator import Simulator
 from repro.sim.units import MS, S
 
-_flow_counter = itertools.count()
-
-
-def _fresh_flow(server_ip: str = "10.1.0.1") -> FiveTuple:
-    """A unique server→client flow (the video server side of §5.3)."""
-    index = next(_flow_counter)
+def _fresh_flow(index: int, server_ip: str = "10.1.0.1") -> FiveTuple:
+    """The ``index``-th server→client flow of a workload (the video
+    server side of §5.3).  Each workload numbers its own flows from 0,
+    so two workloads built in one process see the same five-tuples."""
     client = f"10.2.{(index >> 8) % 250 + 1}.{index % 250 + 1}"
     return FiveTuple(src_ip=server_ip, dst_ip=client, protocol=PROTO_TCP,
                      src_port=80, dst_port=10000 + index % 50000)
@@ -84,6 +82,7 @@ class FlowChurnWorkload:
         self.completed_flows = 0
         self._second_packet_ids: set[int] = set()
         self._rng = RandomStreams(seed=seed).stream("churn")
+        self._flow_ids = itertools.count()
         _attach_egress_hook(host, measure_ports, self._on_out)
         sim.process(self._run())
 
@@ -109,7 +108,7 @@ class FlowChurnWorkload:
 
     def _run(self):
         while True:
-            flow = _fresh_flow()
+            flow = _fresh_flow(next(self._flow_ids))
             self.flows_started += 1
             ack = self._alloc(flow, 64, "")
             self.host.inject(self.ingress_port, ack)
@@ -160,6 +159,7 @@ class VideoSessionWorkload:
         self.out_meter = ThroughputMeter(window_ns=window_ns)
         self.sessions_started = 0
         self._rng = RandomStreams(seed=seed).stream("video")
+        self._flow_ids = itertools.count()
         _attach_egress_hook(host, measure_ports, self._on_out)
         for _ in range(concurrent_flows):
             self.sim.process(self._session_loop())
@@ -180,7 +180,7 @@ class VideoSessionWorkload:
             int(self._rng.integers(0, self._interval_ns() + 1)))
         while True:
             session = _VideoSession(
-                flow=_fresh_flow(),
+                flow=_fresh_flow(next(self._flow_ids)),
                 ends_at=self.sim.now + max(1, round(self._rng.exponential(
                     self.mean_lifetime_ns))))
             self.sessions_started += 1

@@ -5,11 +5,15 @@ the CLI fails loudly when pointed at nothing (a misconfigured CI job).
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "tools" / "bench_trend.py"
@@ -19,19 +23,73 @@ bench_trend = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_trend)
 
 
+#: Artifacts committed under ``benchmarks/results/`` (the ``!`` lines of
+#: the repo's ``.gitignore``); everything else there is a run output.
+COMMITTED_RESULTS = sorted(
+    line[len("!benchmarks/results/"):]
+    for line in (REPO / ".gitignore").read_text().splitlines()
+    if line.startswith("!benchmarks/results/"))
+
+
+def _joined_results_paths(path: pathlib.Path) -> set[str]:
+    """``*.json`` names a module joins onto a ``"results"`` path with
+    ``/`` — how benchmarks and tests open committed baselines."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        parts: list[str] = []
+        while isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            if (isinstance(node.right, ast.Constant)
+                    and isinstance(node.right.value, str)):
+                parts.append(node.right.value)
+            node = node.left
+        if parts and parts[0].endswith(".json") and "results" in parts:
+            found.add(parts[0])
+    return found
+
+
 class TestCollect:
-    def test_repo_results_all_collated(self):
-        rows = bench_trend.collect(REPO / "benchmarks" / "results")
+    def test_repo_results_all_collated(self, tmp_path):
+        """Collates the committed artifacts plus a run artifact the test
+        writes itself — never whatever earlier runs left behind."""
+        for name in COMMITTED_RESULTS:
+            shutil.copy(REPO / "benchmarks" / "results" / name, tmp_path)
+        (tmp_path / "micro_multihost.json").write_text(json.dumps(
+            {"name": "micro_multihost",
+             "metrics": {"wall_s": 1.5, "speedup": 1.2}}))
+        rows = bench_trend.collect(tmp_path)
         by_name = {row["name"]: row for row in rows}
-        # Every committed artifact shows up; baselines are tagged.
-        assert "micro_adaptive" in by_name
-        assert "micro_multihost" in by_name
+        # Every artifact shows up; baselines are tagged.
+        assert set(by_name) == {pathlib.Path(name).stem for name in
+                                [*COMMITTED_RESULTS, "micro_multihost.json"]}
         assert by_name["micro_multihost_baseline"]["baseline"]
+        assert not by_name["micro_multihost"]["baseline"]
         assert not by_name["micro_adaptive"]["baseline"]
         # The adaptive benchmark's headline ratios survive flattening.
         ratios = by_name["micro_adaptive"]["ratios"]
         assert ratios["window_reduction"] >= 5.0
         assert ratios["message_reduction"] >= 10.0
+
+    def test_every_results_file_read_is_tracked(self):
+        """Each ``benchmarks/results/*.json`` a benchmark or test opens
+        must be committed, or a fresh clone cannot run it."""
+        listed = subprocess.run(["git", "ls-files", "benchmarks/results"],
+                                cwd=REPO, capture_output=True, text=True)
+        if listed.returncode != 0:
+            pytest.skip("not a git checkout")
+        tracked = {pathlib.Path(line).name
+                   for line in listed.stdout.splitlines()}
+        read = set()
+        for path in sorted([*REPO.glob("benchmarks/*.py"),
+                            *REPO.glob("tests/*.py")]):
+            read |= _joined_results_paths(path)
+        # The scan must see the known baseline reads, or it is broken.
+        assert {"ablation_auto_parallel_baseline.json",
+                "ablation_columnar_baseline.json",
+                "micro_kernel_baseline.json",
+                "micro_multihost_baseline.json"} <= read
+        assert read <= tracked, sorted(read - tracked)
+        # The .gitignore whitelist and the index agree.
+        assert set(COMMITTED_RESULTS) <= tracked
 
     def test_shallowest_wall_clock_wins(self):
         flat = bench_trend.flatten({

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import make_dpdk_forwarder
 from repro.dataplane import NfvHost
 from repro.nfs import MemcachedProxy, NoOpNf, VideoFlowDetector
-from repro.sim import MS, S
+from repro.sim import MS, S, Simulator
 from repro.workloads import (
     DdosRampWorkload,
     FlowChurnWorkload,
@@ -104,6 +104,36 @@ class TestFlowChurn:
     def test_rate_validation(self, sim, host):
         with pytest.raises(ValueError):
             FlowChurnWorkload(sim, host, new_flows_per_second=0)
+
+    @pytest.mark.parametrize("workload_cls", [FlowChurnWorkload,
+                                              VideoSessionWorkload])
+    def test_workloads_in_one_process_see_identical_flows(self,
+                                                          workload_cls):
+        """Flow numbering is per workload: building a second workload in
+        the same interpreter replays the first one's five-tuples."""
+        kwargs = ({"new_flows_per_second": 2000}
+                  if workload_cls is FlowChurnWorkload
+                  else {"concurrent_flows": 5, "mean_lifetime_ns": 5 * MS,
+                        "per_flow_mbps": 2.0})
+
+        def flows_seen() -> list:
+            sim = Simulator()
+            host = NfvHost(sim, name="flows")
+            seen: list = []
+            inject = host.inject
+
+            def recording_inject(port, packet):
+                seen.append(packet.flow)
+                return inject(port, packet)
+
+            host.inject = recording_inject
+            workload_cls(sim, host, **kwargs)
+            sim.run(until=20 * MS)
+            return seen
+
+        first, second = flows_seen(), flows_seen()
+        assert len(set(first)) > 5
+        assert first == second
 
 
 class TestVideoSessions:
