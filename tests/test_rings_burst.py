@@ -15,7 +15,8 @@ import pytest
 from repro._compat import HAVE_NUMPY
 from repro.dataplane import NfvHost
 from repro.dataplane.rings import RingBuffer
-from repro.net import FiveTuple, Packet
+from repro.dataplane.stats import HostStats
+from repro.net import FiveTuple, Packet, PacketBatch
 from repro.nfs import ComputeNf, NoOpNf
 from repro.sim import MS, Simulator
 from repro.workloads import FlowSpec, PktGen
@@ -87,6 +88,56 @@ class TestRingBurstOps:
             ring.enqueue_burst(list(range(10)))
         assert first.drain() == second.dequeue_burst(second.occupancy)
         assert first.occupancy == second.occupancy == 0
+
+
+def _batch(count: int, flow) -> PacketBatch:
+    batch = PacketBatch("eth0")
+    for _ in range(count):
+        batch.append(Packet(flow=flow, size=64, created_at=0))
+    return batch
+
+
+class TestPacketWeightedRing:
+    """Batches fill one slot per packet, and descriptors sharing the
+    ring see exactly the capacity the batches left."""
+
+    def test_descriptors_fill_only_what_batches_left(self, sim, flow):
+        ring = RingBuffer(sim, "r", slots=8)
+        assert ring.enqueue_batch(_batch(5, flow)) == 5
+        assert (len(ring), ring.occupancy) == (1, 5)
+        assert ring.enqueue_burst(["a", "b", "c", "d"]) == 3
+        assert ring.is_full and ring.occupancy == 8
+        assert ring.dropped == 1
+        # Taking the batch frees all five of its slots.
+        assert ring.try_get().count == 5
+        assert ring.occupancy == 3
+        assert ring.enqueue_burst(list("vwxyz")) == 5
+        assert ring.is_full
+
+    def test_batch_accepts_the_prefix_that_fits(self, sim, flow):
+        ring = RingBuffer(sim, "r", slots=8)
+        ring.enqueue_burst(list(range(6)))
+        batch = _batch(5, flow)
+        tail = batch.packets[2:]
+        assert ring.enqueue_batch(batch) == 2
+        # The caller keeps the rejected tail in ``batch``.
+        assert batch.packets == tail
+        assert ring.occupancy == 8 and ring.dropped == 3
+
+    def test_dequeue_budget_splits_the_head_batch(self, sim, flow):
+        stats = HostStats()
+        ring = RingBuffer(sim, "r", slots=16, stats=stats)
+        ring.enqueue_burst(["d0"])
+        ring.enqueue_batch(_batch(6, flow))
+        ring.enqueue_burst(["d1"])
+        taken = ring.dequeue_packets(4)
+        assert taken[0] == "d0" and taken[1].count == 3
+        assert stats.batch_splits == 1
+        assert ring.occupancy == 4              # 3 batch rows + d1
+        assert ring.get().value.count == 3      # synchronous head get
+        assert ring.occupancy == 1
+        assert ring.dequeue_packets(4) == ["d1"]
+        assert ring.occupancy == 0 and not ring.is_full
 
 
 # ----------------------------------------------------------------------
