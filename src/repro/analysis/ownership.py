@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -267,9 +268,15 @@ class HostVerifier:
             return accepted
 
         def enqueue_burst(items):
+            # Snapshot before the call: a straddling batch is split, and
+            # the ring accepts a packet prefix of the burst.
+            packets = [packet for item in items
+                       for packet in (item.packets
+                                      if isinstance(item, PacketBatch)
+                                      else (_packet_of(item),))]
+            enqueued = ring.enqueued
             accepted = inner_burst(items)
-            for item in items[:accepted]:
-                packet = _packet_of(item)
+            for packet in packets[:ring.enqueued - enqueued]:
                 if packet is not None:
                     ledger.on_transfer(packet.packet_id, owner, sim.now)
             return accepted

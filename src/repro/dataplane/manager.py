@@ -1133,15 +1133,14 @@ class NfManager:
         """Hand a VM's completed burst (descriptors and batches) to its
         TX thread in one shot; the queue counts capacity in packets."""
         queue = self._vm_tx_assignment[vm.vm_id]
-        for item in items:
+        accepted = queue.enqueue_burst(items)
+        # enqueue_burst left a straddling batch's rejected tail in place.
+        for item in items[accepted:]:
             if item.__class__ is PacketBatch:
-                n = item.count
-                accepted = queue.enqueue_batch(item)
-                if accepted < n:
-                    self.stats.dropped_ring_full += n - accepted
-                    for packet in item.packets:
-                        self._release(packet)
-            elif not queue.try_enqueue(item):
+                self.stats.dropped_ring_full += item.count
+                for packet in item.packets:
+                    self._release(packet)
+            else:
                 self._drop(item, "dropped_ring_full")
 
     def _tx_loop(self, queue: RingBuffer):
@@ -1161,8 +1160,7 @@ class NfManager:
             head = yield queue.get()
             items = [head]
             weight = head.count if head.__class__ is PacketBatch else 1
-            if weight < self.burst_size:
-                items.extend(queue.dequeue_packets(self.burst_size - weight))
+            items.extend(queue.dequeue_packets(self.burst_size - weight))
             weight = len(items)
             batches = 0
             for item in items:

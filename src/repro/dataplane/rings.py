@@ -34,6 +34,11 @@ class RingBuffer:
     :class:`Store` operations.  Batches split FIFO-prefix-wise at the
     capacity boundary and at consumer dequeue budgets; splits are
     reported to ``stats.batch_splits``.
+
+    The consumer pairs every :meth:`get` with a :meth:`dequeue_packets`
+    sweep, as the NF and TX loops do: a batch handed whole to a parked
+    consumer keeps weighing on the ring until that sweep, exactly as
+    the descriptor form's queued tail would.
     """
 
     def __init__(self, sim: Simulator, name: str,
@@ -47,10 +52,13 @@ class RingBuffer:
         # Ring poll events are only ever yielded by the consumer loop, so
         # they recycle through the simulator's kernel free list.
         self._store = Store(sim, capacity=slots, recycle=True)
-        # Queued packets beyond one per deque item (a batch of n adds
-        # n - 1).  Items handed straight to a parked consumer never
-        # transit the deque and never count here.
+        # Packets beyond one per deque item (a queued batch of n adds
+        # n - 1), plus the rows past the head of ``_handed``.
         self._extra = 0
+        # A batch a consumer took whole (handed to its parked get, or
+        # taken by a get) before its sweep: the descriptor form would
+        # still queue the rows past the head.
+        self._handed: PacketBatch | None = None
         self.enqueued = 0
         self.dropped = 0
 
@@ -71,6 +79,13 @@ class RingBuffer:
         self._extra += delta
         self._store.capacity -= delta
 
+    def _settle(self) -> None:
+        """The consumer swept: the batch its get took whole stops
+        weighing on the ring."""
+        handed, self._handed = self._handed, None
+        if handed is not None:
+            self._reweigh(1 - handed.count)
+
     def try_enqueue(self, item: typing.Any) -> bool:
         """Producer side: non-blocking put of one descriptor; False
         means the packet dropped."""
@@ -81,21 +96,34 @@ class RingBuffer:
         return False
 
     def enqueue_burst(self, items: typing.Sequence[typing.Any]) -> int:
-        """Producer side: enqueue descriptors, dropping the tail when full.
+        """Producer side: enqueue descriptors and batches, dropping the
+        tail when full.
 
-        DPDK ``rte_ring_enqueue_burst`` semantics: items are accepted in
-        order until the ring fills; the number accepted is returned and
-        every rejected item counts as one drop (per-slot accounting is
-        identical to ``len(items)`` calls to :meth:`try_enqueue`).
+        DPDK ``rte_ring_enqueue_burst`` semantics, counted in packets:
+        items are accepted in order until the ring fills, and the number
+        of leading items accepted whole is returned.  A batch straddling
+        the boundary is accepted in part and keeps its rejected tail, so
+        ``items[accepted:]`` is exactly what dropped; every rejected
+        packet counts as one drop.
         """
         put = self._store.try_put
-        accepted = 0
+        accepted = enqueued = 0
         for item in items:
-            if not put(item):
+            if item.__class__ is PacketBatch:
+                n = item.count
+                taken = self._admit(item)
+                enqueued += taken
+                if taken < n:
+                    break
+            elif put(item):
+                enqueued += 1
+            else:
                 break
             accepted += 1
-        self.enqueued += accepted
-        self.dropped += len(items) - accepted
+        self.enqueued += enqueued
+        for item in items[accepted:]:
+            self.dropped += (item.count if item.__class__ is PacketBatch
+                             else 1)
         return accepted
 
     def enqueue_batch(self, batch: PacketBatch) -> int:
@@ -109,6 +137,14 @@ class RingBuffer:
         batch is owned by the ring afterwards.
         """
         n = batch.count
+        accepted = self._admit(batch)
+        self.enqueued += accepted
+        self.dropped += n - accepted
+        return accepted
+
+    def _admit(self, batch: PacketBatch) -> int:
+        """Take the prefix of ``batch`` that fits; returns its length."""
+        n = batch.count
         if n == 0:
             return 0
         store = self._store
@@ -117,20 +153,20 @@ class RingBuffer:
             if getter is not None:
                 # A parked consumer takes the head straight off the wire
                 # (descriptor parity: one descriptor hands off, the rest
-                # append subject to capacity — min(n, slots + 1) total).
+                # queue subject to capacity — min(n, slots + 1) total).
                 accepted = min(n, self.slots + 1)
-                getter.succeed(batch if accepted == n
-                               else self._split(batch, accepted))
-                self.enqueued += accepted
-                self.dropped += n - accepted
+                handed = (batch if accepted == n
+                          else self._split(batch, accepted))
+                getter.succeed(handed)
+                if accepted > 1:
+                    self._handed = handed
+                    self._reweigh(accepted - 1)
                 return accepted
         accepted = max(0, min(n, self.slots - self.occupancy))
         if accepted:
             store.items.append(batch if accepted == n
                                else self._split(batch, accepted))
             self._reweigh(accepted - 1)
-            self.enqueued += accepted
-        self.dropped += n - accepted
         return accepted
 
     def _split(self, batch: PacketBatch, k: int) -> PacketBatch:
@@ -154,12 +190,15 @@ class RingBuffer:
         return items
 
     def dequeue_packets(self, budget: int) -> list[typing.Any]:
-        """Consumer side: remove whole items worth up to ``budget``
-        packets, splitting the deque head when it straddles the budget —
-        exactly the packets ``budget`` descriptor dequeues would take."""
+        """Consumer side: the burst sweep after a :meth:`get`.
+
+        Removes whole items worth up to ``budget`` packets, splitting
+        the deque head when it straddles the budget — exactly the
+        packets ``budget`` descriptor dequeues would take."""
         if not self._extra:
             # Every queued item weighs one packet.
             return self.dequeue_burst(budget)
+        self._settle()
         items: list[typing.Any] = []
         store_items = self._store.items
         while budget > 0 and store_items:
@@ -176,10 +215,12 @@ class RingBuffer:
     def get(self) -> Event:
         """Consumer side: event yielding the next item."""
         if self._extra:
-            # A non-empty store satisfies the get synchronously.
-            head = self._store.items[0]
-            if head.__class__ is PacketBatch:
-                self._reweigh(1 - head.count)
+            self._settle()
+            items = self._store.items
+            if items and items[0].__class__ is PacketBatch:
+                # The get takes the head batch at once, but its rows past
+                # the head keep their slots until the consumer sweeps.
+                self._handed = items[0]
         return self._store.get()
 
     def try_get(self) -> typing.Any | None:
@@ -189,8 +230,17 @@ class RingBuffer:
         return item
 
     def drain(self) -> list[typing.Any]:
-        """Remove and return every queued item (failover salvage path)."""
+        """Remove and return every queued item (failover salvage path).
+
+        A batch handed to a consumer that has not swept yet gives up its
+        rows past the head, which the descriptor form would still hold
+        queued: the consumer resumes with the head packet only."""
         items: list[typing.Any] = []
+        handed = self._handed
+        if handed is not None:
+            self._settle()
+            if handed.count > 1:
+                items.append(handed.split_tail(1))
         while True:
             item = self.try_get()
             if item is None:

@@ -186,26 +186,27 @@ class NfVm:
                 head = yield self.rx_ring.get()
                 items = [head]
                 weight = head.count if head.__class__ is PacketBatch else 1
-                if weight < manager.burst_size:
-                    items.extend(self.rx_ring.dequeue_packets(
-                        manager.burst_size - weight))
-                work_items: list = []
-                weight = 0
+                items.extend(self.rx_ring.dequeue_packets(
+                    manager.burst_size - weight))
+                weight = len(items)
+                explode = False
                 for item in items:
-                    if item.__class__ is not PacketBatch:
-                        weight += 1
-                        work_items.append(item)
-                        continue
-                    weight += item.count
-                    if batch_ok:
-                        work_items.append(item)
-                    else:
-                        work_items.extend(
-                            descriptor for descriptor, _entry
-                            in manager._explode_batch(item))
+                    if item.__class__ is PacketBatch:
+                        weight += item.count - 1
+                        explode = not batch_ok
+                if explode:
+                    work_items: list = []
+                    for item in items:
+                        if item.__class__ is PacketBatch:
+                            work_items.extend(
+                                descriptor for descriptor, _entry
+                                in manager._explode_batch(item))
+                        else:
+                            work_items.append(item)
+                    items = work_items
                 manager.stats.record_vm_batch(weight)
-                self.inflight = work_items[0]
-                self._pending = work_items[1:]
+                self.inflight = items[0]
+                self._pending = items[1:]
                 self.last_progress_ns = self.sim.now
                 if self._hung:
                     # Wedged mid-packet: block on an event that never
@@ -213,7 +214,7 @@ class NfVm:
                     yield self.sim.event()
                 jobs = []
                 work = costs.vm_batch_poll_ns
-                for item in work_items:
+                for item in items:
                     if item.__class__ is PacketBatch:
                         cost = ((costs.vm_service_ns + nf.per_packet_cost_ns)
                                 * item.count)

@@ -266,6 +266,17 @@ class PacketBatch:
         self._sizes = self._keys = self._buckets = self._flags = None
         return head
 
+    def split_tail(self, k: int) -> PacketBatch:
+        """FIFO split the other way round: this batch keeps the first
+        ``k`` rows and a new batch holding the tail is returned."""
+        tail = self.split(k)
+        # ``split`` moved the head rows out; swap the two halves back.
+        for slot in PacketBatch.__slots__:
+            mine = getattr(self, slot)
+            setattr(self, slot, getattr(tail, slot))
+            setattr(tail, slot, mine)
+        return tail
+
     def _scan_uniform(self) -> bool:
         first = self._first_flow
         if first is None:

@@ -210,6 +210,20 @@ def test_tight_rings_split_and_merge_batches_identically(mode):
 
 
 @all_modes
+def test_rings_under_half_a_burst_stay_identical(mode):
+    """16-slot rings: a consumer often takes a batch whole (at its
+    parked get, or by a get of a queued batch) while the next burst is
+    dispatched in the same instant.  The batch's rows past its head must
+    keep their slots until the consumer sweeps, as descriptors would,
+    or the batch form accepts packets the descriptor form drops."""
+    result = run_case("tight_rings_16", mode, ring_slots=16)
+    summary = result["summary"]
+    assert summary["dropped_ring_full"] > 0
+    if mode != "never":
+        assert summary["columnar_batches"] > 0
+
+
+@all_modes
 def test_trickle_rate_single_packet_bursts_stay_identical(mode):
     """Below saturation every RX burst is tiny: the default threshold
     keeps them descriptors, and forcing them into degenerate one-packet
@@ -231,20 +245,29 @@ def test_multi_replica_service_falls_back_to_descriptors(mode):
         assert result["summary"]["object_fallbacks"] > 0
 
 
+def counter_state(result: dict) -> list:
+    """Every CounterNf's per-flow packet and byte counts."""
+    return [{"service": nf.service_id,
+             "packets": sorted([str(flow), n]
+                               for flow, n in nf.packets.items()),
+             "bytes": sorted([str(flow), n]
+                             for flow, n in nf.bytes.items())}
+            for nf in result["nfs"]]
+
+
 @all_modes
 def test_counter_nf_batch_handler_sees_identical_traffic(mode):
     """An NF with a real process_batch keeps byte-identical per-flow
     state whichever form its bursts arrive in."""
-    result = run_case("counter_nf", mode, flow_count=4,
-                      nf_factory=CounterNf)
-    state = [{"service": nf.service_id,
-              "packets": sorted([str(flow), n]
-                                for flow, n in nf.packets.items()),
-              "bytes": sorted([str(flow), n]
-                              for flow, n in nf.bytes.items())}
-             for nf in result["nfs"]]
-    if HAVE_NUMPY:
-        assert state == GOLDEN["counter_nf"]["nf_state"]
+    kwargs = {"flow_count": 4, "nf_factory": CounterNf}
+    state = counter_state(run_case("counter_nf", mode, **kwargs))
+    for nf in state:
+        assert sum(n for _flow, n in nf["packets"]) > 0, nf["service"]
+    # Like expected_view: without numpy the jitter differs from the
+    # recording, so the never-batch run on this backend is the truth.
+    expected = (GOLDEN["counter_nf"]["nf_state"] if HAVE_NUMPY
+                else counter_state(run_fig7("never", **kwargs)))
+    assert state == expected
 
 
 @all_modes

@@ -135,9 +135,81 @@ class TestPacketWeightedRing:
         assert stats.batch_splits == 1
         assert ring.occupancy == 4              # 3 batch rows + d1
         assert ring.get().value.count == 3      # synchronous head get
-        assert ring.occupancy == 1
+        # Until the sweep the got batch's rows past its head keep their
+        # slots, as the two descriptors behind a got one would.
+        assert ring.occupancy == 3
         assert ring.dequeue_packets(4) == ["d1"]
         assert ring.occupancy == 0 and not ring.is_full
+
+    def test_mixed_burst_accepts_a_packet_prefix(self, sim, flow):
+        ring = RingBuffer(sim, "r", slots=8)
+        last = _batch(3, flow)
+        tail = last.packets[1:]
+        # a + 5 rows + b fill 7 slots; one row of the last batch fits.
+        assert ring.enqueue_burst(["a", _batch(5, flow), "b", last]) == 3
+        assert last.packets == tail
+        assert (ring.enqueued, ring.dropped) == (8, 2)
+        assert ring.is_full
+
+
+def _consume(ring: RingBuffer, budget: int, taken: list):
+    """A consumer loop's first burst: get, then the sweep."""
+    head = yield ring.get()
+    weight = _weight(head)
+    swept = ring.dequeue_packets(budget - weight)
+    taken.append(weight + sum(_weight(item) for item in swept))
+
+
+def _weight(item) -> int:
+    return item.count if isinstance(item, PacketBatch) else 1
+
+
+def _offer(ring: RingBuffer, batched: bool, flow, n: int) -> int:
+    """Enqueue ``n`` packets as one batch or as n descriptors; returns
+    the packets accepted."""
+    if batched:
+        return ring.enqueue_batch(_batch(n, flow))
+    before = ring.enqueued
+    ring.enqueue_burst([f"d{i}" for i in range(n)])
+    return ring.enqueued - before
+
+
+class TestTakenBatchWeighsUntilTheSweep:
+    """A consumer that takes a batch whole (a parked get, or a get of a
+    queued batch) holds what the descriptor form would still have
+    queued until its sweep: producers in the same instant see the same
+    occupancy, and a salvage before the sweep recovers the same tail."""
+
+    @staticmethod
+    def _run(batched: bool, flow, queued: int, salvage: bool = False):
+        sim = Simulator()
+        ring = RingBuffer(sim, "r", slots=4)
+        offered = [_offer(ring, batched, flow, queued)] if queued else []
+        taken: list[int] = []
+        sim.process(_consume(ring, 32, taken))
+        sim.run()  # the consumer parks (or its get resolves at once)
+        offered.append(_offer(ring, batched, flow, 6))
+        seen = [ring.occupancy]
+        offered.append(_offer(ring, batched, flow, 6))
+        seen.append(ring.occupancy)
+        salvaged = (sum(_weight(item) for item in ring.drain())
+                    if salvage else None)
+        sim.run()
+        return offered, seen, salvaged, taken, ring.occupancy
+
+    @pytest.mark.parametrize("queued", [0, 3])
+    def test_same_instant_producers_see_descriptor_occupancy(self, flow,
+                                                             queued):
+        batched = self._run(True, flow, queued)
+        assert batched == self._run(False, flow, queued)
+        # Both 6-packet offers met a ring the first burst had filled.
+        assert batched[1] == [4, 4]
+
+    def test_salvage_before_the_sweep_recovers_the_tail(self, flow):
+        batched = self._run(True, flow, 0, salvage=True)
+        assert batched == self._run(False, flow, 0, salvage=True)
+        offered, _seen, salvaged, taken, _left = batched
+        assert (offered[0], salvaged, taken) == (5, 4, [1])
 
 
 # ----------------------------------------------------------------------
