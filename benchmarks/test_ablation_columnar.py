@@ -10,7 +10,7 @@ descriptors.  Three measurements:
    produce *identical* model outputs (throughput, conservation totals)
    to a run forced onto descriptors (``_BATCH_MIN`` above the burst
    size) while cutting wall-clock time by >= 1.3x.  A committed
-   descriptor-path baseline (``results/ablation_columnar_baseline.json``)
+   descriptor-path baseline (``baselines/ablation_columnar_baseline.json``)
    pins the deterministic totals across machines; the wall-clock ratio
    against that file is reported but only the in-run ratio gates
    (absolute wall time is machine-dependent).
@@ -57,7 +57,7 @@ OFFERED_MBPS = 16_000.0  # past line rate: burst-32 RX batches fill
 BURST_SIZE = 32
 MIN_SPEEDUP = 1.3
 
-BASELINE_PATH = (pathlib.Path(__file__).parent / "results"
+BASELINE_PATH = (pathlib.Path(__file__).parent / "baselines"
                  / "ablation_columnar_baseline.json")
 
 #: The model outputs that must not move between the two burst forms

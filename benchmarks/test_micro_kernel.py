@@ -5,7 +5,7 @@ live in DPDK huge-page mempools, descriptors in fixed rings, timers in
 ``rte_timer`` wheels.  This benchmark locks in the simulator-side
 analogue: the Fig. 7 64 B workload must run ≥1.5× faster and allocate
 ≥3× fewer hot-path objects per packet than the committed pre-change
-baseline (``benchmarks/results/micro_kernel_baseline.json``), while
+baseline (``benchmarks/baselines/micro_kernel_baseline.json``), while
 moving *exactly* the same packets — identical RX/TX/drop conservation
 counters and identical kernel events per packet.
 
@@ -43,7 +43,7 @@ from repro.workloads import FlowSpec, PktGen
 
 from tests.conftest import install_chain
 
-BASELINE_PATH = (pathlib.Path(__file__).parent / "results"
+BASELINE_PATH = (pathlib.Path(__file__).parent / "baselines"
                  / "micro_kernel_baseline.json")
 WINDOW_NS = 3 * MS
 WALL_ROUNDS = 3

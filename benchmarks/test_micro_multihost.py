@@ -16,7 +16,7 @@ its transit hops, cross simulation-shard boundaries.  Two gates:
 
 The JSON artifact (``results/micro_multihost.json``) records wall-clock
 and events/packet per shard count for regression tooling, and a
-committed baseline (``results/micro_multihost_baseline.json``) pins the
+committed baseline (``baselines/micro_multihost_baseline.json``) pins the
 deterministic totals across machines — the wall-clock ratio against the
 baseline is reported but never gates (absolute time is
 machine-dependent).
@@ -42,7 +42,7 @@ LINK_DELAY = 500 * US
 MIN_SPEEDUP = 1.5
 SHARD_COUNTS = (1, 2, 4)
 
-BASELINE_PATH = (pathlib.Path(__file__).parent / "results"
+BASELINE_PATH = (pathlib.Path(__file__).parent / "baselines"
                  / "micro_multihost_baseline.json")
 
 #: Six services spread across the node order: contiguous shard plans

@@ -23,6 +23,11 @@ cheap to write and expensive to debug:
   batch columns and scalars; per-packet object allocation or per-row
   iteration inside one silently reintroduces the object-path costs the
   columnar refactor removed.
+- **SIM007** — a process's ``sim.sleep(...)`` and a recycled store's
+  ``get()`` queue the process's wake at the call and return a sentinel;
+  anything but yielding that result at once (keeping it, racing it,
+  yielding something else first) resumes the process at the wrong
+  moment or with the wrong value.
 - **OWN001** — every pool-allocated buffer must be handed off exactly
   once per path (to a ring, port, caller, or ``free``/``release``);
   unbalanced paths are leaks or double-releases.
@@ -578,6 +583,78 @@ class _Sim006:
 
 
 # ----------------------------------------------------------------------
+# SIM007 — process-lane waits are yielded at once
+# ----------------------------------------------------------------------
+
+
+def _recycled_store_names(tree: ast.Module) -> set[str]:
+    """Names (or attribute names) bound to ``Store(..., recycle=True)``
+    anywhere in the module."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if not (isinstance(value, ast.Call)
+                and _qualname(value.func).rsplit(".", 1)[-1] == "Store"
+                and any(keyword.arg == "recycle"
+                        and isinstance(keyword.value, ast.Constant)
+                        and keyword.value.value is True
+                        for keyword in value.keywords)):
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                names.add(target.attr)
+    return names
+
+
+def _receiver_tail(call: ast.Call) -> str:
+    """Last name of the object a method call is made on ('' if none)."""
+    assert isinstance(call.func, ast.Attribute)
+    return _qualname(call.func.value).rsplit(".", 1)[-1]
+
+
+class _Sim007:
+    rule_id = "SIM007"
+    summary = ("sim.sleep(...) and a recycled store's get() must be the "
+               "direct operand of yield")
+
+    def __call__(self, tree: ast.Module, path: str) -> list[LintViolation]:
+        recycled = _recycled_store_names(tree)
+        violations: list[LintViolation] = []
+        for parent in ast.walk(tree):
+            for child in ast.iter_child_nodes(parent):
+                if not (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Attribute)):
+                    continue
+                method, receiver = child.func.attr, _receiver_tail(child)
+                if method == "sleep" and (receiver == "sim"
+                                          or receiver.endswith("_sim")):
+                    what = f"{_qualname(child.func)}(...)"
+                elif (method == "get" and not child.args
+                      and receiver in recycled):
+                    what = f"{_qualname(child.func)}() on a recycled store"
+                else:
+                    continue
+                # A forwarding ``return`` hands the wait to a caller that
+                # yields it.
+                if isinstance(parent, (ast.Yield, ast.Return)):
+                    continue
+                violations.append(_violation(
+                    path, child, self.rule_id,
+                    f"{what} queues the running process's wake and must "
+                    f"be the direct operand of yield; keeping its result "
+                    f"or yielding something else first resumes the "
+                    f"process at the wrong moment"))
+        return violations
+
+
+# ----------------------------------------------------------------------
 # OWN001 — pool allocations are handed off exactly once per path
 # ----------------------------------------------------------------------
 
@@ -1101,6 +1178,7 @@ SIM003 = register(_Sim003())
 SIM004 = register(_Sim004())
 SIM005 = register(_Sim005())
 SIM006 = register(_Sim006())
+SIM007 = register(_Sim007())
 OWN001 = register(_Own001())
 FLOW001 = register(_Flow001())
 NF001 = register(_Nf001())

@@ -13,7 +13,6 @@ from __future__ import annotations
 import typing
 
 from repro.net.batch import PacketBatch
-from repro.sim.events import Event
 from repro.sim.store import Store
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -49,8 +48,8 @@ class RingBuffer:
         self.name = name
         self.slots = slots
         self.stats = stats
-        # Ring poll events are only ever yielded by the consumer loop, so
-        # they recycle through the simulator's kernel free list.
+        # The consumer loop yields every get at once, so gets queue the
+        # consumer's wake instead of building an Event.
         self._store = Store(sim, capacity=slots, recycle=True)
         # Packets beyond one per deque item (a queued batch of n adds
         # n - 1), plus the rows past the head of ``_handed``.
@@ -157,7 +156,7 @@ class RingBuffer:
                 accepted = min(n, self.slots + 1)
                 handed = (batch if accepted == n
                           else self._split(batch, accepted))
-                getter.succeed(handed)
+                store._hand(getter, handed)
                 if accepted > 1:
                     self._handed = handed
                     self._reweigh(accepted - 1)
@@ -197,6 +196,8 @@ class RingBuffer:
         packets ``budget`` descriptor dequeues would take."""
         if not self._extra:
             # Every queued item weighs one packet.
+            if not self._store.items:
+                return []
             return self.dequeue_burst(budget)
         self._settle()
         items: list[typing.Any] = []
@@ -212,8 +213,9 @@ class RingBuffer:
             budget -= weight
         return items
 
-    def get(self) -> Event:
-        """Consumer side: event yielding the next item."""
+    def get(self) -> typing.Any:
+        """Consumer side: what the consumer process yields for the next
+        item."""
         if self._extra:
             self._settle()
             items = self._store.items

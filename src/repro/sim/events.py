@@ -6,10 +6,15 @@ generator that yields events; when a yielded event fires, the process is
 resumed with the event's value (or the event's exception is thrown into it).
 
 Hot-path notes: every event class carries ``__slots__`` (millions of
-timeouts and wakeups are created on the Fig. 7 workloads), one-shot
-process wakeups are drawn from the simulator's free list
-(:meth:`Simulator._wakeup`), and events abandoned by an interrupt are
-lazily cancelled so the scheduler can discard them unprocessed.
+timeouts are created on the Fig. 7 workloads), and events abandoned by
+an interrupt are lazily cancelled so the scheduler can discard them
+unprocessed.  The waits a process makes most — ``sim.sleep()`` and a
+recycled store's ``get()`` — build no Event at all: they queue a bare
+*wake* ``(when, seq, process, token, value)`` on the simulator heap and
+return :data:`WAIT`, which the process yields.  The scheduler resumes
+the generator straight from the wake.  A process's ``_token`` moves on
+whenever it abandons a wait (an interrupt is delivered, or it finishes),
+so a wake queued before that is stale and dropped.
 """
 
 from __future__ import annotations
@@ -24,6 +29,22 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _PENDING = object()
 
 
+class _Wait:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "WAIT"
+
+
+#: What ``sim.sleep()`` and a recycled store's ``get()`` return to a
+#: running process once its wake is queued: the process yields it.
+WAIT = _Wait()
+
+# Token of a wake that throws its value into the process whatever wait
+# the process is in by then (an interrupt, delivered when it pops).
+_THROW = object()
+
+
 class Event:
     """A one-shot occurrence with a value and subscriber callbacks.
 
@@ -34,7 +55,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_exception", "_defused",
-                 "_cancelled", "_recycle")
+                 "_cancelled")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -47,9 +68,6 @@ class Event:
         # Lazy cancellation: a triggered event nobody listens to anymore
         # (e.g. a deadline abandoned by an interrupt) is skipped, not run.
         self._cancelled = False
-        # Kernel-internal events return to the simulator free list after
-        # their callbacks run; user-visible events never do.
-        self._recycle = False
 
     @property
     def triggered(self) -> bool:
@@ -113,14 +131,6 @@ class Event:
         """
         self._cancelled = True
 
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-        if self._exception is not None and not self._defused:
-            raise self._exception
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -155,10 +165,12 @@ class Process(Event):
 
     The process *is* an event: it triggers when the generator returns
     (succeeding with the return value) or raises (failing with the
-    exception).
+    exception).  Besides events, the generator may yield :data:`WAIT`
+    right after ``sim.sleep()`` or a recycled store's ``get()`` queued
+    its wake.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator", "_target", "_token")
 
     def __init__(self, sim: Simulator,
                  generator: typing.Generator) -> None:
@@ -166,9 +178,14 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(sim)
         self._generator = generator
+        # The event this process is subscribed to, if it waits on one.
         self._target: Event | None = None
-        # Kick off the process via an immediately-firing recycled event.
-        sim._wakeup(None, None, self._resume)
+        # Bumped whenever the process abandons a wait: a wake carrying
+        # an older token is stale.
+        self._token = 0
+        # The first step is a wake at the current time.
+        _heappush(sim._queue, (sim.now, sim._sequence, self, 0, None))
+        sim._sequence += 1
 
     @property
     def is_alive(self) -> bool:
@@ -178,69 +195,98 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             raise RuntimeError("cannot interrupt a finished process")
-        if (self._target is not None
-                and self._target is self.sim.active_event):
+        sim = self.sim
+        if sim._active_process is self:
             raise RuntimeError("a process cannot interrupt itself")
-        self.sim._wakeup(None, Interrupt(cause), self._interrupted)
+        _heappush(sim._queue,
+                  (sim.now, sim._sequence, self, _THROW, Interrupt(cause)))
+        sim._sequence += 1
 
-    def _interrupted(self, event: Event) -> None:
-        """Deliver an interrupt: first detach from the abandoned target so
-        its later firing cannot mis-resume this process."""
-        if self.triggered:
-            return
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            if not target.callbacks and isinstance(target, Timeout):
-                # Nobody is left waiting: let the scheduler discard the
-                # entry instead of dispatching a dead timeout (heap-bloat
-                # fix for interrupted ring waits and abandoned deadlines).
-                target._cancelled = True
-        self._resume(event)
-
-    def _resume(self, event: Event) -> None:
-        # A stale wakeup: the process was interrupted and already moved on,
-        # or finished.  Ignore the original target's completion.
+    def _throw(self, exception: BaseException) -> None:
+        """Deliver a thrown wake: abandon the current wait (its wake goes
+        stale, its event loses this subscriber), then throw."""
         if self._value is not _PENDING:
             return
+        self._token += 1
+        target = self._target
+        if target is not None:
+            self._target = None
+            callbacks = target.callbacks
+            if callbacks is not None:
+                try:
+                    callbacks.remove(self._resume)
+                except ValueError:
+                    pass
+                if not callbacks and isinstance(target, Timeout):
+                    # Nobody is left waiting: let the scheduler discard
+                    # the entry instead of dispatching a dead timeout.
+                    target._cancelled = True
+        self._advance(None, exception)
+
+    def _resume(self, event: Event) -> None:
+        """Callback of the event this process waits on."""
+        # A stale wakeup: the process finished.
+        if self._value is not _PENDING:
+            return
+        self._target = None
+        if event._exception is None:
+            self._advance(event._value, None)
+        else:
+            # The waited-on event failed; the failure is now the
+            # process's problem.
+            event._defused = True
+            self._advance(None, event._exception)
+
+    def _advance(self, value: typing.Any,
+                 exception: BaseException | None) -> None:
         sim = self.sim
         sim._active_process = self
         try:
-            if event._exception is None:
-                next_event = self._generator.send(event._value)
+            if exception is None:
+                target = self._generator.send(value)
             else:
-                # The waited-on event failed (or we were interrupted); the
-                # failure is now the process's problem.
-                event._defused = True
-                next_event = self._generator.throw(event._exception)
-        except StopIteration as stop:
-            self._target = None
-            self.succeed(stop.value)
-            return
+                target = self._generator.throw(exception)
         except BaseException as exc:
-            self._target = None
-            self.fail(exc)
-            return
-        finally:
             sim._active_process = None
+            self._finish(exc)
+            return
+        sim._active_process = None
+        if target is not WAIT:
+            self._wait(target)
 
-        if isinstance(next_event, Event):
-            if next_event.sim is not sim:
+    def _finish(self, exc: BaseException) -> None:
+        """The generator returned or raised: trigger the process event."""
+        self._token += 1
+        self._target = None
+        if isinstance(exc, StopIteration):
+            self.succeed(exc.value)
+        else:
+            self.fail(exc)
+
+    def _wait(self, target: typing.Any) -> None:
+        """Subscribe to the event the generator yielded."""
+        sim = self.sim
+        if isinstance(target, Event):
+            if target.sim is not sim:
                 raise RuntimeError("process yielded an event from another "
                                    "simulator")
-            self._target = next_event
-            callbacks = next_event.callbacks
+            callbacks = target.callbacks
             if callbacks is None:
-                # Already processed: resume immediately at the current time.
-                sim._wakeup(next_event._value, next_event._exception,
-                            self._resume)
+                # Already processed: resume through a wake at the current
+                # time (a failure rides on the complemented token).
+                if target._exception is None:
+                    wake = (sim.now, sim._sequence, self, self._token,
+                            target._value)
+                else:
+                    wake = (sim.now, sim._sequence, self, ~self._token,
+                            target._exception)
+                _heappush(sim._queue, wake)
+                sim._sequence += 1
             else:
+                self._target = target
                 callbacks.append(self._resume)
             return
-        kind = type(next_event).__name__
+        kind = type(target).__name__
         error = RuntimeError(
             f"process yielded a non-event ({kind}); yield sim.timeout() "
             "or another Event")

@@ -1,18 +1,23 @@
 """The event loop: an integer-nanosecond discrete-event scheduler.
 
-Two scheduling lanes share one heap and one sequence counter:
+Three scheduling lanes share one heap and one sequence counter:
 
-- the **event lane** pushes ``(when, seq, Event)`` and dispatches through
-  :meth:`Event._run_callbacks`;
+- the **event lane** pushes ``(when, seq, Event)`` and runs the event's
+  callbacks;
 - the **timer lane** (:meth:`Simulator.call_later`, the ``rte_timer``
   analogue) pushes a bare ``(when, seq, fn, arg)`` with no Event object
   at all — the fast path for poll wakeups, heartbeats, and deferred
-  callbacks that nobody ever waits on.
+  callbacks that nobody ever waits on;
+- the **wake lane** pushes ``(when, seq, process, token, value)`` for a
+  process's own waits — its start, ``sleep()``, a recycled store's
+  ``get()``, an interrupt — and resumes the generator straight from the
+  entry (see :mod:`repro.sim.events`).
 
 Entries never compare past the sequence number (it is unique), so the
-mixed tuple arities are safe to co-exist in one heap.  Because both lanes
-consume the same sequence counter, ``events_scheduled`` remains an honest
-odometer of kernel work and timestamp tie-breaks stay globally FIFO.
+mixed tuple arities are safe to co-exist in one heap.  Because every
+lane consumes the same sequence counter, ``events_scheduled`` remains an
+honest odometer of kernel work and timestamp tie-breaks stay globally
+FIFO.
 """
 
 from __future__ import annotations
@@ -20,11 +25,15 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import (_THROW, WAIT, AllOf, AnyOf, Event, Process,
+                              Timeout)
+
+# A deadline past every timestamp: ``run()`` without ``until``.
+_FOREVER = 1 << 62
 
 
 class EmptySchedule(Exception):
-    """Raised internally when the event queue runs dry."""
+    """Raised by :meth:`Simulator._step` when the event queue is dry."""
 
 
 def _invoke(callback: typing.Callable[[], None]) -> None:
@@ -39,24 +48,18 @@ class Simulator:
     number), which keeps runs reproducible.
     """
 
-    # One-shot wakeup events kept for reuse; sized to comfortably cover
-    # the wakeups in flight at any instant (starts, interrupts, stale
-    # targets, sleeps) without pinning memory.
-    _EVENT_POOL_LIMIT = 128
-
     def __init__(self) -> None:
         self.now: int = 0
-        # Mixed arity: (when, seq, Event) | (when, seq, fn, arg).
+        # Mixed arity: (when, seq, Event) | (when, seq, fn, arg)
+        # | (when, seq, process, token, value).
         self._queue: list[tuple] = []
         self._sequence = 0
         self._active_process: Process | None = None
-        self.active_event: Event | None = None
         #: Bare timers pushed through :meth:`call_later` (subset of
         #: :attr:`events_scheduled`).
         self.timers_scheduled = 0
-        #: Lazily-cancelled events discarded unprocessed by :meth:`_step`.
+        #: Lazily-cancelled events discarded unprocessed by :meth:`run`.
         self.events_cancelled = 0
-        self._event_pool: list[Event] = []
 
     # ------------------------------------------------------------------
     # Factories
@@ -69,34 +72,28 @@ class Simulator:
         """Create an event firing ``delay`` ns from now."""
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: int) -> Event:
-        """A fire-and-forget delay drawn from the kernel free list.
+    def sleep(self, delay: int) -> typing.Any:
+        """Wait ``delay`` ns: ``yield sim.sleep(delay)``.
 
-        Semantically ``timeout(delay)`` for the caller that only ever
-        ``yield``\\ s it: the returned event is *recycled* after its
-        callbacks run, so per-packet work waits allocate nothing in
-        steady state.  Do **not** retain the event past its firing (use
-        :meth:`timeout` when the event object itself matters, e.g. to
-        read a value or race it in a condition).
+        Called by a running process, it queues the process's wake and
+        returns :data:`~repro.sim.events.WAIT`, which the process must
+        yield at once (lint rule SIM007); no Event is built.  Called
+        anywhere else it returns an :class:`Event` firing ``delay`` ns
+        from now.  Use :meth:`timeout` when the event object itself
+        matters, e.g. to read a value or race it in a condition.
         """
         if delay < 0:
             raise ValueError(f"negative sleep delay: {delay}")
-        # _acquire_event inlined: sleep() backs every per-burst work wait.
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.callbacks = []
-            event._exception = None
-            event._defused = False
-            event._cancelled = False
-        else:
+        process = self._active_process
+        if process is None:
             event = Event(self)
-            event._recycle = True
-        event._value = None
-        heapq.heappush(self._queue,
-                       (self.now + int(delay), self._sequence, event))
+            event._value = None
+            self._enqueue(event, delay)
+            return event
+        heapq.heappush(self._queue, (self.now + int(delay), self._sequence,
+                                     process, process._token, None))
         self._sequence += 1
-        return event
+        return WAIT
 
     def process(self, generator: typing.Generator) -> Process:
         """Start a new process from a generator."""
@@ -117,8 +114,8 @@ class Simulator:
     def events_scheduled(self) -> int:
         """Total heap entries ever enqueued — the kernel-work odometer.
 
-        Counts both lanes (Event objects *and* bare ``call_later``
-        timers; the latter are also broken out in
+        Counts every lane (Event objects, process wakes *and* bare
+        ``call_later`` timers; the latter are also broken out in
         :attr:`timers_scheduled`).  Batching ablations divide this by
         packets moved to get "kernel events per packet", the
         simulator-side analogue of per-packet event-dispatch overhead in
@@ -162,80 +159,8 @@ class Simulator:
         return self._queue[0][0] if self._queue else None
 
     # ------------------------------------------------------------------
-    # Free-list wakeups
+    # Running
     # ------------------------------------------------------------------
-    def _acquire_event(self) -> Event:
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.callbacks = []
-            event._value = _PENDING
-            event._exception = None
-            event._defused = False
-            event._cancelled = False
-            return event
-        event = Event(self)
-        event._recycle = True
-        return event
-
-    def _release_event(self, event: Event) -> None:
-        if len(self._event_pool) < self._EVENT_POOL_LIMIT:
-            self._event_pool.append(event)
-
-    def _wakeup(self, value: typing.Any, exception: BaseException | None,
-                callback: typing.Callable[[Event], None]) -> None:
-        """Enqueue an immediately-firing one-shot event from the free list.
-
-        Backs process starts, interrupts, and already-processed-target
-        resumes; the event is recycled after dispatch, so these allocate
-        nothing in steady state.
-        """
-        event = self._acquire_event()
-        event._value = value
-        event._exception = exception
-        if exception is not None:
-            event._defused = True
-        event.callbacks.append(callback)
-        heapq.heappush(self._queue, (self.now, self._sequence, event))
-        self._sequence += 1
-
-    # ------------------------------------------------------------------
-    # Stepping
-    # ------------------------------------------------------------------
-    def _step(self) -> None:
-        queue = self._queue
-        if not queue:
-            raise EmptySchedule()
-        entry = heapq.heappop(queue)
-        when = entry[0]
-        if when < self.now:
-            raise AssertionError("time went backwards")
-        self.now = when
-        if len(entry) == 4:
-            # Bare timer lane: dispatch fn(arg) with no Event machinery.
-            entry[2](entry[3])
-            return
-        event = entry[2]
-        callbacks = event.callbacks
-        if event._cancelled and not callbacks:
-            # Lazily-cancelled and nobody re-subscribed: discard.
-            self.events_cancelled += 1
-            return
-        # Event._run_callbacks inlined: one dispatch per event lane entry.
-        self.active_event = event
-        event.callbacks = None
-        try:
-            for callback in callbacks:
-                callback(event)
-            if event._exception is not None and not event._defused:
-                raise event._exception
-        finally:
-            self.active_event = None
-        if event._recycle:
-            pool = self._event_pool
-            if len(pool) < self._EVENT_POOL_LIMIT:
-                pool.append(event)
-
     def run(self, until: int | Event | None = None) -> typing.Any:
         """Run the simulation.
 
@@ -248,24 +173,75 @@ class Simulator:
           return its value.
         """
         if isinstance(until, Event):
-            sentinel = until
-            while not sentinel.processed:
-                try:
-                    self._step()
-                except EmptySchedule:
+            if not until.processed:
+                self._dispatch(_FOREVER, until)
+                if not until.processed:
                     raise RuntimeError(
                         "simulation ran out of events before the awaited "
-                        "event triggered") from None
-            return sentinel.value
-        deadline = None if until is None else int(until)
-        if deadline is not None and deadline < self.now:
+                        "event triggered")
+            return until.value
+        if until is None:
+            self._dispatch(_FOREVER, None)
+            return None
+        deadline = int(until)
+        if deadline < self.now:
             raise ValueError(f"until={deadline} is in the past "
                              f"(now={self.now})")
-        while self._queue:
-            if deadline is not None and self._queue[0][0] >= deadline:
-                self.now = deadline
-                return None
-            self._step()
-        if deadline is not None:
-            self.now = deadline
+        self._dispatch(deadline, None)
+        self.now = deadline
         return None
+
+    def _step(self) -> None:
+        """Dispatch the next heap entry alone."""
+        if not self._queue:
+            raise EmptySchedule()
+        self._dispatch(_FOREVER, None, [heapq.heappop(self._queue)])
+
+    def _dispatch(self, deadline: int, stop: Event | None,
+                  queue: list[tuple] | None = None) -> None:
+        """Pop and dispatch heap entries due before ``deadline``; return
+        early once ``stop`` has been processed.  ``queue`` replaces the
+        heap as the source of entries (entries still schedule onto the
+        heap)."""
+        if queue is None:
+            queue = self._queue
+        pop = heapq.heappop
+        while queue and queue[0][0] < deadline:
+            entry = pop(queue)
+            self.now = entry[0]
+            arity = len(entry)
+            if arity == 5:
+                # Wake lane: resume the generator straight from the entry.
+                process = entry[2]
+                token = entry[3]
+                if token == process._token:
+                    self._active_process = process
+                    try:
+                        target = process._generator.send(entry[4])
+                    except BaseException as exc:
+                        self._active_process = None
+                        process._finish(exc)
+                        continue
+                    self._active_process = None
+                    if target is not WAIT:
+                        process._wait(target)
+                elif token is _THROW or token == ~process._token:
+                    process._throw(entry[4])
+                # Any other token: a wake the process abandoned when it
+                # was interrupted.
+            elif arity == 4:
+                entry[2](entry[3])
+            else:
+                event = entry[2]
+                callbacks = event.callbacks
+                if event._cancelled and not callbacks:
+                    # Lazily-cancelled and nobody re-subscribed: discard.
+                    self.events_cancelled += 1
+                    continue
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if event._exception is not None and not event._defused:
+                    raise event._exception
+                if event is stop:
+                    return

@@ -1,4 +1,4 @@
-"""The benchmark-trend collator: every ``benchmarks/results/*.json``
+"""The benchmark-trend collator: every committed baseline and run
 artifact lands in the trajectory table with its headline numbers, and
 the CLI fails loudly when pointed at nothing (a misconfigured CI job).
 """
@@ -9,7 +9,6 @@ import ast
 import importlib.util
 import json
 import pathlib
-import shutil
 import subprocess
 import sys
 
@@ -17,24 +16,23 @@ import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "tools" / "bench_trend.py"
+BASELINES = REPO / "benchmarks" / "baselines"
 
 spec = importlib.util.spec_from_file_location("bench_trend", SCRIPT)
 bench_trend = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_trend)
 
 
-#: Artifacts committed under ``benchmarks/results/`` (the ``!`` lines of
-#: the repo's ``.gitignore``); everything else there is a run output.
-COMMITTED_RESULTS = sorted(
-    line[len("!benchmarks/results/"):]
-    for line in (REPO / ".gitignore").read_text().splitlines()
-    if line.startswith("!benchmarks/results/"))
+#: Files committed under ``benchmarks/baselines/``; ``benchmarks/results/``
+#: holds run outputs only and is ignored by git.
+COMMITTED_BASELINES = sorted(path.name for path in BASELINES.glob("*.json"))
 
 
-def _joined_results_paths(path: pathlib.Path) -> set[str]:
-    """``*.json`` names a module joins onto a ``"results"`` path with
-    ``/`` — how benchmarks and tests open committed baselines."""
-    found: set[str] = set()
+def _joined_json_paths(path: pathlib.Path) -> set[tuple[str, str]]:
+    """``(directory, name)`` for each ``*.json`` name a module joins onto
+    a ``"results"`` or ``"baselines"`` path with ``/`` — how benchmarks
+    and tests open committed files."""
+    found: set[tuple[str, str]] = set()
     for node in ast.walk(ast.parse(path.read_text())):
         parts: list[str] = []
         while isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
@@ -42,25 +40,37 @@ def _joined_results_paths(path: pathlib.Path) -> set[str]:
                     and isinstance(node.right.value, str)):
                 parts.append(node.right.value)
             node = node.left
-        if parts and parts[0].endswith(".json") and "results" in parts:
-            found.add(parts[0])
+        if not parts or not parts[0].endswith(".json"):
+            continue
+        for directory in ("results", "baselines"):
+            if directory in parts:
+                found.add((directory, parts[0]))
     return found
+
+
+def _tracked(directory: str) -> set[str]:
+    listed = subprocess.run(["git", "ls-files", f"benchmarks/{directory}"],
+                            cwd=REPO, capture_output=True, text=True)
+    if listed.returncode != 0:
+        pytest.skip("not a git checkout")
+    return {pathlib.Path(line).name for line in listed.stdout.splitlines()}
 
 
 class TestCollect:
     def test_repo_results_all_collated(self, tmp_path):
-        """Collates the committed artifacts plus a run artifact the test
+        """Collates the committed baselines plus a run artifact the test
         writes itself — never whatever earlier runs left behind."""
-        for name in COMMITTED_RESULTS:
-            shutil.copy(REPO / "benchmarks" / "results" / name, tmp_path)
-        (tmp_path / "micro_multihost.json").write_text(json.dumps(
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "micro_multihost.json").write_text(json.dumps(
             {"name": "micro_multihost",
              "metrics": {"wall_s": 1.5, "speedup": 1.2}}))
-        rows = bench_trend.collect(tmp_path)
+        rows = bench_trend.collect(BASELINES, results)
         by_name = {row["name"]: row for row in rows}
-        # Every artifact shows up; baselines are tagged.
+        # Every file shows up; baselines are tagged.
         assert set(by_name) == {pathlib.Path(name).stem for name in
-                                [*COMMITTED_RESULTS, "micro_multihost.json"]}
+                                [*COMMITTED_BASELINES,
+                                 "micro_multihost.json"]}
         assert by_name["micro_multihost_baseline"]["baseline"]
         assert not by_name["micro_multihost"]["baseline"]
         assert not by_name["micro_adaptive"]["baseline"]
@@ -70,26 +80,26 @@ class TestCollect:
         assert ratios["message_reduction"] >= 10.0
 
     def test_every_results_file_read_is_tracked(self):
-        """Each ``benchmarks/results/*.json`` a benchmark or test opens
-        must be committed, or a fresh clone cannot run it."""
-        listed = subprocess.run(["git", "ls-files", "benchmarks/results"],
-                                cwd=REPO, capture_output=True, text=True)
-        if listed.returncode != 0:
-            pytest.skip("not a git checkout")
-        tracked = {pathlib.Path(line).name
-                   for line in listed.stdout.splitlines()}
-        read = set()
+        """Each ``benchmarks/results/*.json`` or
+        ``benchmarks/baselines/*.json`` a benchmark or test opens must be
+        committed, or a fresh clone cannot run it."""
+        tracked = {"results": _tracked("results"),
+                   "baselines": _tracked("baselines")}
+        read: set[tuple[str, str]] = set()
         for path in sorted([*REPO.glob("benchmarks/*.py"),
                             *REPO.glob("tests/*.py")]):
-            read |= _joined_results_paths(path)
+            read |= _joined_json_paths(path)
         # The scan must see the known baseline reads, or it is broken.
-        assert {"ablation_auto_parallel_baseline.json",
-                "ablation_columnar_baseline.json",
-                "micro_kernel_baseline.json",
-                "micro_multihost_baseline.json"} <= read
-        assert read <= tracked, sorted(read - tracked)
-        # The .gitignore whitelist and the index agree.
-        assert set(COMMITTED_RESULTS) <= tracked
+        assert {("baselines", "ablation_auto_parallel_baseline.json"),
+                ("baselines", "ablation_columnar_baseline.json"),
+                ("baselines", "micro_kernel_baseline.json"),
+                ("baselines", "micro_multihost_baseline.json")} <= read
+        untracked = sorted(f"{directory}/{name}" for directory, name in read
+                           if name not in tracked[directory])
+        assert untracked == []
+        # Run outputs are never committed; every baseline is.
+        assert tracked["results"] == set()
+        assert set(COMMITTED_BASELINES) == tracked["baselines"]
 
     def test_shallowest_wall_clock_wins(self):
         flat = bench_trend.flatten({

@@ -1,17 +1,21 @@
-"""The kernel fast path: timer lane, event recycling, lazy cancellation.
+"""The kernel fast path: timer lane, wake lane, lazy cancellation.
 
 These lock in the zero-allocation hot-path mechanics: ``call_later``
 timers share the heap and sequence counter with the event lane (so
 timestamp tie-breaks stay globally FIFO and ``events_scheduled`` stays
-an honest odometer), ``sleep()`` wakeups are recycled through a bounded
-free list, and abandoned timeouts are discarded unprocessed instead of
-being dispatched long after anyone cares.
+an honest odometer), a process's ``sleep()`` and recycled-store
+``get()`` resume it from a bare heap wake with no Event at all, and
+abandoned timeouts are discarded unprocessed instead of being
+dispatched long after anyone cares.
 """
+
+from unittest import mock
 
 import pytest
 
-from repro.sim import Simulator, Store
-from repro.sim.events import Event, Interrupt
+from repro.dataplane.rings import RingBuffer
+from repro.sim import Store
+from repro.sim.events import WAIT, Event, Interrupt
 
 
 class TestTimerLane:
@@ -65,31 +69,128 @@ class TestTimerLane:
         assert ticks == [10, 20, 30]
 
 
-class TestEventRecycling:
-    def test_sleep_event_is_reused(self, sim):
-        """Steady-state sleeps recycle one Event object."""
+class TestWakeLane:
+    def test_sleep_and_ring_get_build_no_event(self, sim):
+        """Steady-state sleeps, recycled-store gets and ring gets —
+        parked or immediate — construct no Event."""
+        store = Store(sim, recycle=True)
+        ring = RingBuffer(sim, "ring", slots=4)
+        received = []
+
+        def producer():
+            for i in range(6):
+                store.try_put(i)
+                ring.try_enqueue(-i)
+                yield sim.sleep(3 if i % 2 else 0)
+
+        def consumer():
+            for _ in range(6):
+                received.append((yield store.get()))
+                received.append((yield ring.get()))
+                yield sim.sleep(1)
+
+        sim.process(producer())
+        sim.process(consumer())
+        original = Event.__init__
+        built = []
+
+        def counting_init(event, *args, **kwargs):
+            built.append(type(event).__name__)
+            original(event, *args, **kwargs)
+
+        with mock.patch.object(Event, "__init__", counting_init):
+            sim.run()
+        assert built == []
+        assert received == [0, 0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
+
+    def test_process_waits_yield_the_wait_sentinel(self, sim):
         seen = []
 
+        def waiter():
+            seen.append(sim.sleep(5))
+            yield seen[-1]
+            seen.append(Store(sim, recycle=True).get())
+            yield seen[-1]
+
+        sim.process(waiter())
+        sim.run()
+        assert seen == [WAIT, WAIT]
+
+    def test_stale_wake_after_interrupt_is_ignored(self, sim):
+        """The sleep an interrupt abandoned pops later and changes
+        nothing: the process resumes once, from its next wait."""
+        resumptions = []
+
         def sleeper():
-            for _ in range(5):
-                event = sim.sleep(10)
-                seen.append(id(event))
-                yield event
+            try:
+                yield sim.sleep(100)
+            except Interrupt:
+                resumptions.append(("interrupted", sim.now))
+            yield sim.sleep(500)
+            resumptions.append(("woke", sim.now))
 
-        sim.process(sleeper())
+        process = sim.process(sleeper())
+        sim.schedule(10, lambda: process.interrupt())
         sim.run()
-        # The in-flight event is released only after its callback (which
-        # issues the next sleep) returns, so steady state ping-pongs
-        # between exactly two recycled objects — never one per sleep.
-        assert len(set(seen)) == 2
+        assert resumptions == [("interrupted", 10), ("woke", 510)]
+        # The stale wake still popped at t=100 (same heap as an Event
+        # wait), but an abandoned wake is no cancelled event.
+        assert sim.events_cancelled == 0
+        assert process.ok
 
-    def test_free_list_is_bounded(self, sim):
-        events = [sim.sleep(1) for _ in range(1000)]
-        assert len(events) == 1000
+    def test_interrupted_parked_getter_is_skipped(self, sim):
+        """An item put after a parked recycled getter was interrupted
+        goes to the next live getter — including the interrupted
+        process itself once it parks again."""
+        store = Store(sim, recycle=True)
+        received = []
+
+        def doomed():
+            try:
+                yield store.get()
+            except Interrupt:
+                received.append("doomed-interrupted")
+            yield sim.sleep(20)
+            received.append(("doomed", (yield store.get())))
+
+        def patient():
+            received.append(("patient", (yield store.get())))
+
+        doomed_process = sim.process(doomed())
+        sim.process(patient())
+        sim.schedule(10, lambda: doomed_process.interrupt())
+        sim.schedule(15, lambda: store.try_put("first"))
+        sim.schedule(40, lambda: store.try_put("second"))
         sim.run()
-        assert len(sim._event_pool) <= Simulator._EVENT_POOL_LIMIT
+        assert received == ["doomed-interrupted", ("patient", "first"),
+                            ("doomed", "second")]
+        assert not store.items
 
-    def test_recycled_event_resets_state(self, sim):
+    def test_sleep_outside_a_process_returns_an_event(self, sim):
+        event = sim.sleep(25)
+        assert isinstance(event, Event)
+        fired = []
+        event.callbacks.append(lambda e: fired.append(sim.now))
+
+        def waiter():
+            value = yield event
+            fired.append(("waiter", sim.now, value))
+
+        sim.process(waiter())
+        sim.run()
+        assert fired == [25, ("waiter", 25, None)]
+
+    def test_recycled_get_outside_a_process_returns_an_event(self, sim):
+        store = Store(sim, recycle=True)
+        event = store.get()
+        assert isinstance(event, Event)
+        got = []
+        event.callbacks.append(lambda e: got.append((sim.now, e.value)))
+        sim.call_later(7, store.try_put, "item")
+        sim.run()
+        assert got == [(7, "item")]
+
+    def test_sleep_resumes_with_none(self, sim):
         values = []
 
         def sleeper():
@@ -103,28 +204,6 @@ class TestEventRecycling:
     def test_negative_sleep_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.sleep(-3)
-
-    def test_recycled_store_reuses_events(self, sim):
-        store = Store(sim, recycle=True)
-        ids = set()
-
-        def producer():
-            for i in range(6):
-                yield store.put(i)
-                yield sim.sleep(1)
-
-        def consumer():
-            for _ in range(6):
-                event = store.get()
-                ids.add(id(event))
-                yield event
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        # The free list turns the churn of 6 gets into a couple of
-        # live objects, not one per get.
-        assert len(ids) < 6
 
 
 class TestLazyCancellation:

@@ -257,6 +257,57 @@ class TestSim006ColumnarKernelPurity:
         assert violations(good, "SIM006") == []
 
 
+class TestSim007YieldedWaits:
+    def test_rejects_kept_or_combined_waits(self):
+        bad = """
+            from repro.sim import Store
+
+            class Loop:
+                def __init__(self, sim):
+                    self.sim = sim
+                    self.ring = Store(sim, capacity=8, recycle=True)
+
+                def run(self):
+                    wait = self.sim.sleep(10)
+                    yield wait
+                    item = self.ring.get()
+                    yield self.sim.any_of([item, self.sim.timeout(5)])
+                    done = yield self.sim.all_of([self.sim.sleep(1)])
+                    return done
+        """
+        found = violations(bad, "SIM007")
+        assert len(found) == 3
+        assert "self.sim.sleep(...)" in found[0].message
+        assert "self.ring.get() on a recycled store" in found[1].message
+        assert "direct operand of yield" in found[2].message
+
+    def test_accepts_yielded_waits_plain_stores_and_forwarding(self):
+        good = """
+            import time
+            from repro.sim import Store
+
+            class Loop:
+                def __init__(self, sim):
+                    self.sim = sim
+                    self.ring = Store(sim, recycle=True)
+                    self.inbox = Store(sim)
+
+                def run(self):
+                    yield self.sim.sleep(10)
+                    item = yield self.ring.get()
+                    ring = self.ring
+                    batch = [item, (yield ring.get())]
+                    reply = self.inbox.get()   # plain store: an Event
+                    yield self.sim.any_of([reply, self.sim.timeout(5)])
+                    time.sleep(0)              # not the simulator
+                    return batch
+
+                def get(self):
+                    return self.ring.get()     # the caller yields it
+        """
+        assert violations(good, "SIM007") == []
+
+
 class TestOwn001BufferBalance:
     def test_rejects_leaky_branch(self):
         bad = """
@@ -565,8 +616,8 @@ class TestEngine:
 
     def test_all_rules_registered(self):
         assert set(RULES) == {"SIM001", "SIM002", "SIM003", "SIM004",
-                              "SIM005", "SIM006", "OWN001", "FLOW001",
-                              "NF001", "NF002", "NF003"}
+                              "SIM005", "SIM006", "SIM007", "OWN001",
+                              "FLOW001", "NF001", "NF002", "NF003"}
 
 
 class TestSelfLint:

@@ -46,6 +46,49 @@ class TestTargetDetachment:
         assert values == [("interrupt", "why"), ("value", "fresh-value")]
 
 
+    def test_processed_target_wake_goes_stale_on_interrupt(self, sim):
+        """Yielding an already-processed event queues a wake at the
+        current time; an interrupt delivered before it pops must leave
+        that wake stale, not let it resume the process's next wait."""
+        done = sim.event()
+        done.succeed("old")
+        sim.run()
+        log = []
+
+        def worker():
+            yield sim.sleep(5)
+            try:
+                log.append(("value", (yield done)))
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+                log.append(("slept", (yield sim.sleep(10)), sim.now))
+
+        process = sim.process(worker())
+        # Pushed before the worker's sleep: the interrupt is issued at
+        # t=5 just before the sleep wakes, and delivered right after the
+        # worker yields ``done``.
+        sim.call_later(5, lambda _: process.interrupt())
+        sim.run()
+        assert log == [("interrupted", 5), ("slept", None, 15)]
+
+    def test_failed_processed_target_throws_into_process(self, sim):
+        failed = sim.event()
+        failed.fail(ValueError("boom"))
+        failed.defuse()
+        sim.run()
+        caught = []
+
+        def worker():
+            try:
+                yield failed
+            except ValueError as exc:
+                caught.append((str(exc), sim.now))
+
+        sim.process(worker())
+        sim.run()
+        assert caught == [("boom", 0)]
+
+
 class TestStoreAbandonedGetters:
     def test_item_not_lost_to_interrupted_getter(self, sim):
         """An item put after a waiting consumer was interrupted must go
@@ -106,3 +149,53 @@ class TestStoreAbandonedGetters:
                                   store.try_put("b")))
         sim.run()
         assert received == [("second", "a"), ("third", "b")]
+
+
+class TestSelfInterrupt:
+    def test_self_interrupt_on_first_step_raises(self, sim):
+        """A process has no target during its first step; interrupting
+        itself there must still be refused, not scheduled."""
+        outcome = []
+
+        def selfish():
+            try:
+                process.interrupt("me")
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+            yield sim.sleep(5)
+            outcome.append(("still running", sim.now))
+
+        process = sim.process(selfish())
+        sim.run()
+        assert outcome == ["a process cannot interrupt itself",
+                           ("still running", 5)]
+
+    def test_self_interrupt_after_a_wake_raises(self, sim):
+        outcome = []
+
+        def selfish():
+            yield sim.sleep(3)
+            try:
+                process.interrupt()
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+
+        process = sim.process(selfish())
+        sim.run()
+        assert outcome == ["a process cannot interrupt itself"]
+
+    def test_interrupting_an_unstarted_process_from_a_timer(self, sim):
+        """Outside any process, interrupting one that has not taken its
+        first step is allowed: the interrupt lands at that step."""
+        seen = []
+
+        def worker():
+            try:
+                yield sim.sleep(10)
+            except Interrupt as interrupt:
+                seen.append((interrupt.cause, sim.now))
+
+        sim.call_later(0, lambda _: process.interrupt("early"))
+        process = sim.process(worker())
+        sim.run()
+        assert seen == [("early", 0)]

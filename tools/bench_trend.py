@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Collate ``benchmarks/results/*.json`` into one trajectory table.
+"""Collate benchmark JSON files into one trajectory table.
 
-Every benchmark writes a per-run JSON artifact (via the ``report``
-fixture) and some commit a cross-machine baseline; nothing collates
-them, so the per-PR history lives in a dozen disconnected files.  This
+Every benchmark writes a per-run JSON artifact to ``benchmarks/results/``
+(via the ``report`` fixture), and some commit a cross-machine baseline
+to ``benchmarks/baselines/``; nothing collates them, so the per-PR
+history lives in a dozen disconnected files.  This
 tool flattens each result file to its headline numbers — wall-clock,
 events/packet, throughput, and any speedup/reduction ratios — and
 prints one aligned row per file, so a single CI artifact tracks the
 whole performance trajectory::
 
-    python tools/bench_trend.py                       # repo defaults
+    python tools/bench_trend.py                       # both repo dirs
     python tools/bench_trend.py path/to/results --out trend.txt
 
 ``--out`` also writes ``<out>.json`` next to the table with the raw
@@ -24,8 +25,9 @@ import json
 import pathlib
 import sys
 
-DEFAULT_RESULTS = (pathlib.Path(__file__).resolve().parent.parent
-                   / "benchmarks" / "results")
+_BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+#: Committed baselines first, then whatever runs left behind.
+DEFAULT_DIRS = (_BENCHMARKS / "baselines", _BENCHMARKS / "results")
 
 #: Dotted-path suffixes for each table column, tried in order — the
 #: shallowest match wins, so a top-level ``wall_s`` beats one nested
@@ -75,10 +77,12 @@ def _ratios(flat: dict[str, float]) -> dict[str, float]:
     return found
 
 
-def collect(results_dir: pathlib.Path) -> list[dict]:
+def collect(*results_dirs: pathlib.Path) -> list[dict]:
     """One summary row per result file, sorted by benchmark name."""
     rows = []
-    for path in sorted(results_dir.glob("*.json")):
+    paths = [path for results_dir in results_dirs
+             for path in sorted(results_dir.glob("*.json"))]
+    for path in paths:
         if path.stem.startswith("bench_trend"):
             continue  # our own output: never self-aggregate
         try:
@@ -121,21 +125,21 @@ def render(rows: list[dict]) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_trend",
-        description="collate benchmarks/results/*.json into one "
+        description="collate benchmark *.json files into one "
                     "performance-trajectory table")
-    parser.add_argument("results", nargs="?", type=pathlib.Path,
-                        default=DEFAULT_RESULTS,
-                        help=f"results directory (default: "
-                             f"{DEFAULT_RESULTS})")
+    parser.add_argument("results", nargs="*", type=pathlib.Path,
+                        default=list(DEFAULT_DIRS),
+                        help="result directories (default: "
+                             + ", ".join(map(str, DEFAULT_DIRS)) + ")")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="also write the table here (plus the raw "
                              "rows as <out>.json)")
     args = parser.parse_args(argv)
 
-    rows = collect(args.results)
+    rows = collect(*args.results)
     if not rows:
-        print(f"no benchmark results under {args.results}",
-              file=sys.stderr)
+        print("no benchmark results under "
+              + ", ".join(map(str, args.results)), file=sys.stderr)
         return 1
 
     table = render(rows)
