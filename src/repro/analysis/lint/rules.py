@@ -613,12 +613,6 @@ def _recycled_store_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _receiver_tail(call: ast.Call) -> str:
-    """Last name of the object a method call is made on ('' if none)."""
-    assert isinstance(call.func, ast.Attribute)
-    return _qualname(call.func.value).rsplit(".", 1)[-1]
-
-
 class _Sim007:
     rule_id = "SIM007"
     summary = ("sim.sleep(...) and a recycled store's get() must be the "
@@ -632,7 +626,8 @@ class _Sim007:
                 if not (isinstance(child, ast.Call)
                         and isinstance(child.func, ast.Attribute)):
                     continue
-                method, receiver = child.func.attr, _receiver_tail(child)
+                method = child.func.attr
+                receiver = _qualname(child.func.value).rsplit(".", 1)[-1]
                 if method == "sleep" and (receiver == "sim"
                                           or receiver.endswith("_sim")):
                     what = f"{_qualname(child.func)}(...)"
