@@ -3,19 +3,19 @@
 The worst case for a global-minimum lookahead is one fast link in an
 otherwise slow topology: a 12-host WAN chain whose crossing links are
 all 5 ms except a single 50 us intra-DC hop in the middle.  At
-``shards=12`` the uniform schedule barriers *every* shard every 50 us;
-the adaptive schedule confines the microsecond cadence to the two
-shards actually coupled by the fast link and advances the other ten in
-5 ms WAN strides.  Three gates:
+``shards=12`` a plan that gives every crossing pair the global minimum
+(the uniform schedule) barriers *every* shard every 50 us; the computed
+per-pair plan (the adaptive schedule) confines the microsecond cadence
+to the two shards actually coupled by the fast link and advances the
+other ten in 5 ms WAN strides.  Four gates:
 
-- **Correctness (always):** uniform/adaptive and pickle/columnar runs
-  all report identical network totals, equal to the monolithic
-  ``shards=1`` run.
+- **Correctness (always):** the uniform and adaptive runs report
+  identical network totals, equal to the monolithic ``shards=1`` run.
 - **Window reduction (always, deterministic):** the adaptive schedule
   advances >= 5x fewer shard-windows than the uniform one.
-- **Transport (always, deterministic):** at the same schedule, the
-  columnar codec ships >= 10x fewer pipe messages per window than
-  per-event pickling.
+- **Transport (always, deterministic):** the columnar codec ships
+  >= 10x fewer pipe messages than pickling one tuple per boundary
+  event (the run's ``boundary_tx``) would.
 - **Wall clock (multi-core machines only):** adaptive beats uniform by
   >= 1.3x with worker processes; on boxes with fewer than 4 CPUs the
   ratio is recorded but not gated (same pattern as the other
@@ -31,7 +31,12 @@ import time
 from repro.core import EXIT, ServiceGraph
 from repro.net import FiveTuple
 from repro.sim import MS, US
-from repro.sim.sharded import Scenario, ShardedSimulator, TrafficSpec
+from repro.sim.sharded import (
+    Scenario,
+    ShardedSimulator,
+    ShardPlan,
+    TrafficSpec,
+)
 from repro.topology import Link, NodeSpec, Topology
 
 HOSTS = 12
@@ -74,39 +79,50 @@ def make_scenario() -> Scenario:
     )
 
 
-def run_once(shards: int, workers: int, adaptive: bool,
-             transport: str) -> dict:
+def uniform_minimum_plan(scenario: Scenario, shards: int) -> ShardPlan:
+    """The computed partition with every crossing pair's lookahead
+    lowered to the global minimum: the classic global barrier."""
+    plan = ShardPlan.compute(scenario.topology, shards)
+    floor = min(delay for _, _, delay in plan.lookahead_matrix)
+    return ShardPlan(groups=plan.groups,
+                     lookahead_matrix=tuple(
+                         (src, dst, floor)
+                         for src, dst, _ in plan.lookahead_matrix))
+
+
+def run_once(shards: int, workers: int, uniform: bool = False) -> dict:
+    scenario = make_scenario()
+    plan = uniform_minimum_plan(scenario, shards) if uniform else None
     started = time.perf_counter()
-    result = ShardedSimulator(make_scenario(), shards=shards,
-                              workers=workers,
-                              adaptive_windows=adaptive,
-                              transport=transport).run()
+    result = ShardedSimulator(scenario, shards=shards, workers=workers,
+                              plan=plan).run()
     wall_s = time.perf_counter() - started
     summary = result.transport_summary()
     return {
         "shards": shards,
         "workers": workers,
-        "adaptive": adaptive,
-        "transport": transport,
+        "plan": "uniform-minimum" if uniform else "computed",
         "wall_s": wall_s,
-        "windows": summary["windows"] if summary else None,
-        "batches": summary["batches"] if summary else None,
-        "messages": summary["messages"] if summary else None,
-        "bytes": summary["bytes"] if summary else None,
+        "windows": summary["windows"],
+        "batches": summary["batches"],
+        "messages": summary["messages"],
+        "bytes": summary["bytes"],
+        # What per-event pickling would ship: one tuple per crossing.
+        "per_event_messages": sum(shard["boundary_tx"]
+                                  for shard in result.shard_results),
         "totals": result.totals(),
     }
 
 
 def test_adaptive_schedule_and_columnar_transport(report):
-    mono = run_once(1, 0, True, "columnar")
-    uniform = run_once(HOSTS, WORKERS, False, "columnar")
-    adaptive = run_once(HOSTS, WORKERS, True, "columnar")
-    pickled = run_once(HOSTS, WORKERS, True, "pickle")
+    mono = run_once(1, 0)
+    uniform = run_once(HOSTS, WORKERS, uniform=True)
+    adaptive = run_once(HOSTS, WORKERS)
 
-    # Correctness: the schedule and the wire encoding are performance
-    # knobs, not model changes.
-    for run in (uniform, adaptive, pickled):
-        assert run["totals"] == mono["totals"], run["transport"]
+    # Correctness: the lookahead plan is a performance choice, not a
+    # model change.
+    for run in (uniform, adaptive):
+        assert run["totals"] == mono["totals"], run["plan"]
     assert mono["totals"]["received"] > 10_000  # the workload is real
 
     # Deterministic gate 1: the adaptive schedule confines the 50 us
@@ -117,13 +133,13 @@ def test_adaptive_schedule_and_columnar_transport(report):
         f"{uniform['windows']} — only {window_reduction:.2f}x fewer "
         f"(need {MIN_WINDOW_REDUCTION}x)")
 
-    # Deterministic gate 2: same schedule, same batches — the columnar
-    # codec collapses per-event pickles into a few buffers per window.
-    assert pickled["batches"] == adaptive["batches"]
-    message_reduction = pickled["messages"] / adaptive["messages"]
+    # Deterministic gate 2: the columnar codec collapses what would be
+    # one pickled tuple per boundary event into a few buffers per batch.
+    per_event = adaptive["per_event_messages"]
+    message_reduction = per_event / adaptive["messages"]
     assert message_reduction >= MIN_MESSAGE_REDUCTION, (
-        f"columnar ships {adaptive['messages']} messages vs pickle "
-        f"{pickled['messages']} — only {message_reduction:.2f}x fewer "
+        f"columnar ships {adaptive['messages']} messages vs per-event "
+        f"{per_event} — only {message_reduction:.2f}x fewer "
         f"(need {MIN_MESSAGE_REDUCTION}x)")
 
     speedup = uniform["wall_s"] / adaptive["wall_s"]
@@ -133,15 +149,14 @@ def test_adaptive_schedule_and_columnar_transport(report):
         f"adaptive lookahead on a {HOSTS}-host WAN chain "
         f"(one {FAST_DELAY // US} us hop among {SLOW_DELAY // MS} ms "
         f"links, shards={HOSTS}, workers={WORKERS})",
-        f"{'variant':>18} {'wall_s':>8} {'windows':>8} {'batches':>8} "
-        f"{'messages':>9}",
+        f"{'plan':>16} {'wall_s':>8} {'windows':>8} {'batches':>8} "
+        f"{'messages':>9} {'per-event':>9}",
     ]
-    for name, run in (("uniform/columnar", uniform),
-                      ("adaptive/columnar", adaptive),
-                      ("adaptive/pickle", pickled)):
-        lines.append(f"{name:>18} {run['wall_s']:>8.3f} "
+    for run in (uniform, adaptive):
+        lines.append(f"{run['plan']:>16} {run['wall_s']:>8.3f} "
                      f"{run['windows']:>8} {run['batches']:>8} "
-                     f"{run['messages']:>9}")
+                     f"{run['messages']:>9} "
+                     f"{run['per_event_messages']:>9}")
     lines.append(f"window reduction {window_reduction:.2f}x, "
                  f"message reduction {message_reduction:.2f}x, "
                  f"wall speedup {speedup:.2f}x "
@@ -149,7 +164,7 @@ def test_adaptive_schedule_and_columnar_transport(report):
                  f"gate {'on' if parallel_capable else 'off'})")
     report("micro_adaptive", "\n".join(lines),
            metrics={"mono": mono, "uniform": uniform,
-                    "adaptive": adaptive, "pickle": pickled,
+                    "adaptive": adaptive,
                     "window_reduction": window_reduction,
                     "message_reduction": message_reduction,
                     "speedup": speedup},

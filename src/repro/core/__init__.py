@@ -12,7 +12,6 @@ from repro.core.deploy_rules import (
     compile_distributed_rules,
     compile_proactive_rules,
 )
-from repro.core.distributed import deploy_distributed
 from repro.core.placement import (
     DivisionSolver,
     FlowRequest,
@@ -31,7 +30,6 @@ __all__ = [
     "EXIT",
     "compile_distributed_rules",
     "compile_proactive_rules",
-    "deploy_distributed",
     "FlowRequest",
     "GraphDeployment",
     "GreedySolver",

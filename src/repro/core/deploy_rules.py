@@ -1,7 +1,7 @@
 """Pure compilation of a placed service graph into per-host flow rules.
 
-The deployment *planning* half of the old ``deploy_distributed``: given
-a graph, a service→host placement, and the topology's routing maps, emit
+The deployment *planning* half of ``SdnfvApp.deploy(..., network=)``:
+given a graph, a service→host placement, and the topology's routing maps, emit
 the ordered ``(host_name, FlowTableEntry)`` install sequence —
 
 - per-service rules on the hosts that own them,
@@ -49,8 +49,8 @@ def compile_distributed_rules(
     ``host_names`` is the full set of hosts the placement may target
     (every NFV host in the topology, not just the realized subset).
     The returned order — transit rules in path-walk order first, then
-    each host's batch — matches what ``deploy_distributed`` historically
-    installed, so existing deployments see byte-identical flow tables.
+    each host's batch — is the order ``SdnfvApp.deploy`` installs, so
+    routed deployments see byte-identical flow tables.
     """
     graph.validate()
     match = match or FlowMatch.any()

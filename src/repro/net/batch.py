@@ -315,9 +315,9 @@ def _int_column(values: "array"):
 class BoundaryBatch:
     """One window's boundary events toward one shard, as packed columns.
 
-    Worker mode used to pickle one 13-field tuple per crossing packet;
-    a :class:`BoundaryBatch` instead dictionary-encodes the repetitive
-    fields and ships a handful of flat buffers per window:
+    Rather than one 13-field tuple per crossing packet, a
+    :class:`BoundaryBatch` dictionary-encodes the repetitive fields and
+    ships a handful of flat buffers per window:
 
     - seven int64 columns (arrival, capture seq, wire index, flow index,
       size, created_at, payload index),
@@ -328,7 +328,7 @@ class BoundaryBatch:
       remainder (``None`` when no row carries annotations).
 
     :meth:`decode` rebuilds the exact event tuples — same types, same
-    values — so the codec is observably identical to the pickled path.
+    values (``tests/test_boundary_codec.py`` holds it to that).
     """
 
     __slots__ = ("count", "arrivals", "seqs", "wire_idx", "flow_idx",
@@ -345,7 +345,7 @@ class BoundaryBatch:
     def buffer_count(self) -> int:
         """Pipe messages this batch amounts to: one per flat buffer
         (columns + side tables + the sparse annotation map), versus one
-        pickled tuple per event on the legacy path."""
+        tuple per event if the rows were pickled as they are."""
         return 7 + 3 + (1 if self.annotations else 0)
 
     def decode(self) -> list[tuple]:

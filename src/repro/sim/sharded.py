@@ -13,27 +13,24 @@ lockstep:
   *directed shard pair* (``lookahead_matrix``); the conductor runs a
   null-message/LBTS-style round schedule where each shard advances to
   the minimum over its inbound neighbors' clocks plus the pair
-  lookahead (``adaptive_windows=True``, the default), so two shards
-  joined only by a slow WAN link barrier at WAN cadence even while an
-  intra-DC pair elsewhere barriers every few microseconds.  Uniform
-  topologies degenerate to the classic global barrier of width
-  ``lookahead_ns``; ``adaptive_windows=False`` forces that global
-  schedule.  Either way a frame transmitted at ``t`` inside a window
+  lookahead, so two shards joined only by a slow WAN link barrier at
+  WAN cadence even while an intra-DC pair elsewhere barriers every few
+  microseconds.  Uniform-delay topologies — or a plan whose matrix
+  states the global minimum for every pair — degenerate to the classic
+  global barrier.  A frame transmitted at ``t`` inside a window
   arrives at ``t + delay`` past every target the round hands out, so
   delivering captured frames between rounds never violates causality.
 
 - **Boundary events.**  Frames leaving a shard are serialized to plain
   tuples (flow fields, size, payload, timestamps) — never object
   references — and rebuilt from the destination host's packet pool on
-  the owning shard.  Per window and destination the tuples travel as a
-  packed :class:`~repro.net.batch.BoundaryBatch` (int64 columns plus
-  dictionary tables; ``transport="columnar"``, the default) or as the
-  legacy per-event pickled tuples (``transport="pickle"``); both
-  decode to identical rows.  The same codec runs in-process
-  (``workers=0``) and over ``multiprocessing`` pipes, so a worker run
-  is bit-equal to the debuggable in-process run, and per-shard
-  transport counters (windows, batches, messages, bytes) land in the
-  run result.
+  the owning shard.  Per window and destination the tuples travel as
+  one packed :class:`~repro.net.batch.BoundaryBatch` (int64 columns
+  plus dictionary tables) that decodes to the identical rows.  The
+  same codec runs in-process (``workers=0``) and over
+  ``multiprocessing`` pipes, so a worker run is bit-equal to the
+  debuggable in-process run, and per-shard transport counters
+  (windows, batches, messages, bytes) land in the run result.
 
 - **Determinism.**  Boundary events are globally sorted by
   ``(arrival time, source shard, capture order)`` before delivery, and
@@ -63,7 +60,7 @@ from repro.dataplane.manager import DEFAULT_BURST_SIZE, ControlPlanePolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import ControllerOutage, FaultPlan
 from repro.metrics.eventlog import ControlEvent, EventLog, merge_events
-from repro.net.batch import encode_boundary_events
+from repro.net.batch import BoundaryBatch, encode_boundary_events
 from repro.net.flow import FiveTuple
 from repro.net.mempool import DEFAULT_POOL_SIZE
 from repro.net.packet import Packet
@@ -219,20 +216,18 @@ class ShardPlan:
     """Host-group partition plus the conservative lookahead bounds.
 
     ``groups[i]`` is the tuple of host names shard ``i`` owns.
-    ``lookahead_ns`` is the minimum delay of any shard-crossing link
-    (None when no link crosses a boundary — single shard, or fully
-    disconnected groups — in which case one window covers the run); it
-    is the width of the classic global barrier.
-    ``lookahead_matrix`` refines that to directed shard pairs: sorted
-    ``(src_shard, dst_shard, min_crossing_delay_ns)`` triples, one per
-    pair of groups joined by at least one link — the adaptive schedule
-    barriers each pair at its own cadence.  ``compute`` fills it; a
-    hand-built plan may leave it ``None``, in which case
+    ``lookahead_matrix`` holds sorted ``(src_shard, dst_shard,
+    lookahead)`` triples (nanoseconds), one per directed pair of groups joined by
+    at least one link (empty when no link crosses a boundary, in which
+    case one window covers the run); the schedule barriers each pair at
+    its own cadence.  ``compute`` fills it with the minimum crossing
+    delay per pair; a hand-built plan may state smaller lookaheads
+    (giving every pair the global minimum reproduces the classic
+    global barrier) or leave it ``None``, in which case
     :class:`ShardedSimulator` derives it from the topology.
     """
 
     groups: tuple[tuple[str, ...], ...]
-    lookahead_ns: int | None
     lookahead_matrix: tuple[tuple[int, int, int], ...] | None = None
 
     @classmethod
@@ -257,12 +252,8 @@ class ShardPlan:
                 1 if index < len(hosts) % shards else 0)
             groups.append(tuple(hosts[start:start + size]))
             start += size
-        matrix = _crossing_matrix(topology, groups)
-        plan = cls(groups=tuple(groups),
-                   lookahead_ns=(min(delay for _, _, delay in matrix)
-                                 if matrix else None),
-                   lookahead_matrix=matrix)
-        return plan
+        return cls(groups=tuple(groups),
+                   lookahead_matrix=_crossing_matrix(topology, groups))
 
     def owners(self) -> dict[str, int]:
         """host name -> owning shard index."""
@@ -271,7 +262,7 @@ class ShardPlan:
                 for host in group}
 
     def pair_lookaheads(self) -> dict[tuple[int, int], int] | None:
-        """``(src_shard, dst_shard) -> lookahead_ns`` (None if unset)."""
+        """``(src_shard, dst_shard) -> lookahead`` (None if unset)."""
         if self.lookahead_matrix is None:
             return None
         return {(src, dst): delay
@@ -289,33 +280,29 @@ class ShardPlan:
             raise ValueError(
                 "plan must cover every NFV host exactly once")
         actual = _crossing_matrix(topology, self.groups)
-        bound = min((delay for _, _, delay in actual), default=None) \
-            if actual else None
-        if bound is None:
-            if self.lookahead_ns is not None:
+        if self.lookahead_matrix is None:
+            return
+        count = len(self.groups)
+        for src, dst, delay in self.lookahead_matrix:
+            if src == dst or not (0 <= src < count and 0 <= dst < count):
                 raise ValueError(
-                    "no shard-crossing links; lookahead_ns must be None")
-        elif self.lookahead_ns is None or self.lookahead_ns > bound:
-            raise ValueError(
-                f"lookahead_ns must be at most {bound} (the minimum "
-                "shard-crossing link delay)")
-        if self.lookahead_matrix is not None:
-            claimed = self.pair_lookaheads()
-            for src, dst, delay in actual:
-                stated = claimed.get((src, dst))
-                if stated is None:
-                    raise ValueError(
-                        f"lookahead_matrix is missing the crossing pair "
-                        f"{src}->{dst}; an absent pair would let the "
-                        "schedule outrun that link")
-                if stated > delay:
-                    raise ValueError(
-                        f"lookahead_matrix claims {stated} ns for pair "
-                        f"{src}->{dst} but the minimum crossing delay "
-                        f"is {delay} ns")
-                if stated < 1:
-                    raise ValueError(
-                        "per-pair lookaheads must be >= 1 ns")
+                    f"lookahead_matrix entry ({src}, {dst}, {delay}) "
+                    f"must name two distinct shards of {count}")
+            if delay < 1:
+                raise ValueError("per-pair lookaheads must be >= 1 ns")
+        claimed = self.pair_lookaheads()
+        for src, dst, delay in actual:
+            stated = claimed.get((src, dst))
+            if stated is None:
+                raise ValueError(
+                    f"lookahead_matrix is missing the crossing pair "
+                    f"{src}->{dst}; an absent pair would let the "
+                    "schedule outrun that link")
+            if stated > delay:
+                raise ValueError(
+                    f"lookahead_matrix claims {stated} ns for pair "
+                    f"{src}->{dst} but the minimum crossing delay "
+                    f"is {delay} ns")
 
 
 def _crossing_matrix(topology: Topology,
@@ -337,47 +324,6 @@ def _flow_key(flow: FiveTuple) -> tuple[str, str, int, int, int]:
             flow.src_port, flow.dst_port)
 
 
-class _PickleTransport:
-    """Legacy boundary wire format: one pickled tuple per event."""
-
-    name = "pickle"
-
-    @staticmethod
-    def encode(events: list[tuple]) -> list[tuple]:
-        return events
-
-    @staticmethod
-    def decode(payload: list[tuple]) -> list[tuple]:
-        return payload
-
-    @staticmethod
-    def units(events: list[tuple], payload: object) -> int:
-        return len(events)
-
-
-class _ColumnarTransport:
-    """Packed-column wire format: a few flat buffers per window/shard
-    (:class:`repro.net.batch.BoundaryBatch`)."""
-
-    name = "columnar"
-
-    @staticmethod
-    def encode(events: list[tuple]):
-        return encode_boundary_events(events)
-
-    @staticmethod
-    def decode(payload) -> list[tuple]:
-        return payload.decode()
-
-    @staticmethod
-    def units(events: list[tuple], payload) -> int:
-        return payload.buffer_count()
-
-
-_TRANSPORTS = {transport.name: transport
-               for transport in (_PickleTransport, _ColumnarTransport)}
-
-
 class ShardRuntime:
     """One shard: a private kernel running its owned hosts end to end.
 
@@ -393,12 +339,11 @@ class ShardRuntime:
     """
 
     def __init__(self, scenario: Scenario, plan: ShardPlan,
-                 shard_id: int, transport: str = "columnar") -> None:
+                 shard_id: int) -> None:
         self.scenario = scenario
         self.plan = plan
         self.shard_id = shard_id
         self.owned: tuple[str, ...] = plan.groups[shard_id]
-        self._transport = _TRANSPORTS[transport]
         sim = self.sim = Simulator()
         self.network: BuiltNetwork = build_network(
             sim, scenario.topology, costs=scenario.costs,
@@ -551,17 +496,18 @@ class ShardRuntime:
         if pool is not None and packet.ref_count == 0:
             pool.reclaim(packet)
 
-    def deliver(self, group: typing.Sequence[tuple[int, object]]) -> None:
+    def deliver(self,
+                group: typing.Sequence[tuple[int, BoundaryBatch]]) -> None:
         """Decode and schedule one round's inbound boundary traffic.
 
-        ``group`` is ``(source_shard, encoded_payload)`` pairs, one per
-        source that captured toward this shard in the round.  Rows merge
+        ``group`` is ``(source_shard, batch)`` pairs, one per source
+        that captured toward this shard in the round.  Rows merge
         across sources by (arrival time, source shard, capture order) —
         the same global order the single-outbox conductor used.
         """
         rows: list[tuple[int, int, int, tuple]] = []
-        for src_shard, payload in group:
-            for event in self._transport.decode(payload):
+        for src_shard, batch in group:
+            for event in batch.decode():
                 rows.append((event[0], src_shard, event[1], event))
         rows.sort(key=lambda row: row[:3])
         now = self.sim.now
@@ -595,23 +541,22 @@ class ShardRuntime:
         self.windows_advanced += 1
         self.sim.run(until=until_ns)
 
-    def take_outbox(self) -> dict[int, object]:
-        """Encode this window's captures, one payload per destination
+    def take_outbox(self) -> dict[int, BoundaryBatch]:
+        """Encode this window's captures, one batch per destination
         shard, and account the transport odometers."""
         staged = self._outboxes
         self._outboxes = {}
-        encoded: dict[int, object] = {}
+        encoded: dict[int, BoundaryBatch] = {}
         for dst_shard in sorted(staged):
             boundary_events = staged[dst_shard]
             if not boundary_events:
                 continue
-            payload = self._transport.encode(boundary_events)
+            batch = encode_boundary_events(boundary_events)
             self.transport_batches += 1
-            self.transport_messages += self._transport.units(
-                boundary_events, payload)
+            self.transport_messages += batch.buffer_count()
             self.transport_bytes += len(
-                pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-            encoded[dst_shard] = payload
+                pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+            encoded[dst_shard] = batch
         return encoded
 
     def collect(self) -> dict:
@@ -653,11 +598,10 @@ class ShardRuntime:
             "boundary_frames_carried": self.boundary_frames_carried,
             "boundary_dropped_at_rx": self.boundary_dropped_at_rx,
             # Schedule/transport odometers: identical between workers=0
-            # and workers=N, but legitimately different across schedule
-            # modes (window count) and wire formats (messages/bytes) —
+            # and workers=N, but legitimately different across plans
+            # (window count, and so batches, messages and bytes) —
             # parity suites strip this key when comparing across those.
             "transport": {
-                "mode": self._transport.name,
                 "windows": self.windows_advanced,
                 "batches": self.transport_batches,
                 "messages": self.transport_messages,
@@ -747,22 +691,19 @@ class ShardedRunResult:
             for result in self.shard_results)
         return out
 
-    def transport_summary(self) -> dict[str, int | str | float]:
+    def transport_summary(self) -> dict[str, int | float]:
         """Aggregated schedule/transport odometers across all shards:
         total windows advanced, boundary batches, pipe messages the
-        payloads amount to, serialized bytes, and messages per
+        batches amount to, serialized bytes, and messages per
         non-empty batch (the per-window pipe-traffic headline)."""
         windows = batches = messages = size = 0
-        mode = "pickle"
         for result in self.shard_results:
             transport = result["transport"]
-            mode = transport["mode"]
             windows += transport["windows"]
             batches += transport["batches"]
             messages += transport["messages"]
             size += transport["bytes"]
         return {
-            "mode": mode,
             "windows": windows,
             "batches": batches,
             "messages": messages,
@@ -779,20 +720,15 @@ class ShardedSimulator:
     ``multiprocessing`` workers with the identical round/boundary
     protocol.  ``shards=1`` is byte-identical to the monolithic kernel.
 
-    ``adaptive_windows=True`` (default) schedules each shard against
-    its inbound neighbors' clocks via the plan's per-pair lookahead
-    matrix; ``False`` forces the classic global barrier every
-    ``lookahead_ns``.  ``transport`` picks the boundary wire format:
-    ``"columnar"`` (default, packed :class:`BoundaryBatch` columns) or
-    ``"pickle"`` (one tuple per event).  All four combinations produce
-    identical merged observables.
+    Each shard advances against its inbound neighbors' clocks via the
+    plan's per-pair lookahead matrix (see :meth:`_rounds`); boundary
+    frames travel as one :class:`BoundaryBatch` per round and
+    destination shard.
     """
 
     def __init__(self, scenario: Scenario, shards: int = 1,
                  workers: int = 0,
-                 plan: ShardPlan | None = None,
-                 adaptive_windows: bool = True,
-                 transport: str = "columnar") -> None:
+                 plan: ShardPlan | None = None) -> None:
         scenario.validate()
         self.scenario = scenario
         if plan is None:
@@ -802,18 +738,11 @@ class ShardedSimulator:
         self.plan = plan
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        if transport not in _TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; "
-                f"expected one of {sorted(_TRANSPORTS)}")
         self.workers = min(workers, len(plan.groups))
-        self.adaptive_windows = adaptive_windows
-        self.transport = transport
         lookaheads = plan.pair_lookaheads()
         if lookaheads is None:
             # Hand-built plan without a matrix: derive the true per-pair
-            # bounds from the topology (always causally safe; the manual
-            # lookahead_ns only governs the uniform schedule).
+            # bounds from the topology (always causally safe).
             lookaheads = scenario.topology.crossing_delays(plan.groups)
         self._pair_lookaheads = lookaheads
 
@@ -828,42 +757,26 @@ class ShardedSimulator:
     # ------------------------------------------------------------------
     # Round schedule and boundary routing (shared by both modes)
     # ------------------------------------------------------------------
-    def _windows(self) -> typing.Iterator[int]:
-        """Global-barrier window edges, lazily.
-
-        A generator rather than a list: a long run with a microsecond
-        lookahead has millions of edges, and materializing them up
-        front costs memory before the first event fires.
-        """
-        duration = self.scenario.duration_ns
-        lookahead = self.plan.lookahead_ns
-        if len(self.plan.groups) > 1 and lookahead is not None:
-            yield from range(lookahead, duration, lookahead)
-        yield duration
-
     def _rounds(self) -> typing.Iterator[dict[int, int]]:
-        """Yield ``{shard: advance_to_ns}`` per conductor round.
+        """Yield ``{shard: advance_to_ns}`` per conductor round, lazily.
 
-        Uniform mode: every shard advances to every global window edge
-        (the classic barrier).  Adaptive mode: each shard's bound is
-        the minimum over its inbound crossing pairs of the source
-        shard's clock plus that pair's lookahead, all bounds computed
-        from the clocks at the *start* of the round (events a source
-        captures inside the round arrive no earlier than its old clock
-        plus the pair lookahead, so every target handed out stays
-        causally safe).  A shard only moves when it can take at least
-        its smallest inbound lookahead in one step — without that
-        quantum, fast neighbors would drag slow pairs through
-        micro-windows — or when it can finish the run.  Shards with no
-        inbound pairs finish in the first round.  Uniform-delay
-        topologies yield exactly the global-barrier edges.
+        Each shard's bound is the minimum over its inbound crossing
+        pairs of the source shard's clock plus that pair's lookahead,
+        all bounds computed from the clocks at the *start* of the round
+        (events a source captures inside the round arrive no earlier
+        than its old clock plus the pair lookahead, so every target
+        handed out stays causally safe).  A shard only moves when it
+        can take at least its smallest inbound lookahead in one step —
+        without that quantum, fast neighbors would drag slow pairs
+        through micro-windows — or when it can finish the run.  Shards
+        with no inbound pairs (one shard, or no crossing links) finish
+        in the first round.  When every pair states the same lookahead
+        the rounds are exactly the global-barrier edges.  A generator
+        rather than a list: a long run with a microsecond lookahead has
+        millions of rounds, and materializing them up front costs
+        memory before the first event fires.
         """
         count = len(self.plan.groups)
-        if not self.adaptive_windows or count == 1 \
-                or not self._pair_lookaheads:
-            for upto in self._windows():
-                yield {shard: upto for shard in range(count)}
-            return
         duration = self.scenario.duration_ns
         inbound: dict[int, list[tuple[int, int]]] = {}
         for (src, dst), lookahead in sorted(self._pair_lookaheads.items()):
@@ -888,17 +801,18 @@ class ShardedSimulator:
             if not targets:  # pragma: no cover - the minimum-clock
                 # shard can always take a full quantum, so the schedule
                 # cannot stall; this guards the invariant.
-                raise RuntimeError("adaptive window schedule stalled")
+                raise RuntimeError("window schedule stalled")
             for shard, upto in targets.items():
                 clocks[shard] = upto
             yield targets
 
-    def _route(self, outboxes: dict[int, dict[int, object]],
-               pending: dict[int, list[list[tuple[int, object]]]]) -> None:
-        """Stage one round's encoded payloads for their destinations.
+    def _route(self, outboxes: dict[int, dict[int, BoundaryBatch]],
+               pending: dict[int, list[list[tuple[int, BoundaryBatch]]]]
+               ) -> None:
+        """Stage one round's encoded batches for their destinations.
 
-        ``outboxes`` maps source shard -> {destination shard: payload}.
-        Each destination receives the round's payloads as one *group*
+        ``outboxes`` maps source shard -> {destination shard: batch}.
+        Each destination receives the round's batches as one *group*
         (source-sorted); groups queue up until the destination's next
         advance, which decodes and merges them in round order.
         """
@@ -912,12 +826,11 @@ class ShardedSimulator:
     # workers=0: every shard in this process
     # ------------------------------------------------------------------
     def _run_inline(self) -> list[dict]:
-        runtimes = [ShardRuntime(self.scenario, self.plan, index,
-                                 transport=self.transport)
+        runtimes = [ShardRuntime(self.scenario, self.plan, index)
                     for index in range(len(self.plan.groups))]
-        pending: dict[int, list[list[tuple[int, object]]]] = {}
+        pending: dict[int, list[list[tuple[int, BoundaryBatch]]]] = {}
         for targets in self._rounds():
-            outboxes: dict[int, dict[int, object]] = {}
+            outboxes: dict[int, dict[int, BoundaryBatch]] = {}
             for shard_id in sorted(targets):
                 runtime = runtimes[shard_id]
                 for group in pending.pop(shard_id, ()):
@@ -949,15 +862,14 @@ class ShardedSimulator:
             parent, child = context.Pipe()
             proc = context.Process(
                 target=_shard_worker,
-                args=(child, self.scenario, self.plan, shard_ids,
-                      self.transport),
+                args=(child, self.scenario, self.plan, shard_ids),
                 daemon=True)
             proc.start()
             child.close()
             pipes[worker] = parent
             procs[worker] = proc
         try:
-            pending: dict[int, list[list[tuple[int, object]]]] = {}
+            pending: dict[int, list[list[tuple[int, BoundaryBatch]]]] = {}
             for targets in self._rounds():
                 # Only workers owning an advancing shard hear about the
                 # round; each message carries the shard's target and the
@@ -970,7 +882,7 @@ class ShardedSimulator:
                                         pending.pop(shard_id, []))
                 for worker in sorted(by_worker):
                     pipes[worker].send(("advance", by_worker[worker]))
-                outboxes: dict[int, dict[int, object]] = {}
+                outboxes: dict[int, dict[int, BoundaryBatch]] = {}
                 for worker in sorted(by_worker):
                     outboxes.update(self._receive(pipes[worker]))
                 self._route(outboxes, pending)
@@ -997,25 +909,23 @@ class ShardedSimulator:
 
 
 def _shard_worker(conn: typing.Any, scenario: Scenario, plan: ShardPlan,
-                  shard_ids: list[int],
-                  transport: str = "columnar") -> None:
+                  shard_ids: list[int]) -> None:
     """Worker process: owns one or more shards, speaks the pipe protocol.
 
     Messages in: ``("advance", {shard: (until_ns, delivery_groups)})``
-    and ``("finish",)``.  Replies: ``("ok", {shard: {dst: payload}})``,
+    and ``("finish",)``.  Replies: ``("ok", {shard: {dst: batch}})``,
     ``("result", {shard: collected})``, or ``("error", traceback)``.
-    Boundary payloads stay encoded end to end — the conductor routes
+    Boundary batches stay encoded end to end — the conductor routes
     them without decoding; only the destination shard unpacks.
     """
     try:
-        runtimes = {shard_id: ShardRuntime(scenario, plan, shard_id,
-                                           transport=transport)
+        runtimes = {shard_id: ShardRuntime(scenario, plan, shard_id)
                     for shard_id in shard_ids}
         while True:
             message = conn.recv()
             if message[0] == "advance":
                 _kind, orders = message
-                outboxes: dict[int, dict[int, object]] = {}
+                outboxes: dict[int, dict[int, BoundaryBatch]] = {}
                 for shard_id in sorted(orders):
                     until_ns, groups = orders[shard_id]
                     runtime = runtimes[shard_id]

@@ -1,6 +1,6 @@
 """Network-wide deployment: service graphs spanning arbitrary
-topologies through the unified ``SdnfvApp.deploy(..., network=)`` path
-(plus the deprecated ``deploy_distributed`` shim)."""
+topologies through the unified ``SdnfvApp.deploy(..., network=)``
+path."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.core import (
     DistributedDeploymentError,
     SdnfvApp,
     ServiceGraph,
-    deploy_distributed,
 )
 from repro.net import FiveTuple, Packet
 from repro.net.headers import PROTO_TCP
@@ -165,55 +164,3 @@ class TestValidationAndConflicts:
                    network=network)
         assert not network.hosts["h0"].manager._parallel_chains
         assert not network.hosts["h1"].manager._parallel_chains
-
-
-class TestDeprecatedShim:
-    def test_deploy_distributed_warns_and_delegates(self, sim, env):
-        app, network = env(2)
-        services = ["a", "b"]
-        placement = {"a": "h0", "b": "h1"}
-        with pytest.warns(DeprecationWarning,
-                          match=r"deploy\(graph, placement"):
-            deploy_distributed(app, network, linear_graph(services),
-                               placement)
-        out, nfs = run_chain(sim, network, placement, services)
-        assert len(out) == 5
-        assert app.deployments
-
-    def test_shim_warns_exactly_once_per_call(self, sim, env):
-        import warnings as warnings_module
-
-        app, network = env(2)
-        placement = {"a": "h0", "b": "h1"}
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            deploy_distributed(app, network, linear_graph(["a", "b"]),
-                               placement)
-        deprecations = [record for record in caught
-                        if issubclass(record.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "SdnfvApp.deploy" in str(deprecations[0].message)
-
-    def test_shim_rules_identical_to_unified_deploy(self, sim, env):
-        """The shim's installed tables are structurally identical to
-        ``app.deploy(..., network=)`` — rule for rule, host for host."""
-        import warnings as warnings_module
-
-        def rule_shapes(network):
-            return {name: [(entry.scope, str(entry.match), entry.actions,
-                            entry.priority, entry.proactive)
-                           for entry in host.flow_table.entries()]
-                    for name, host in network.hosts.items()}
-
-        placement = {"a": "h0", "b": "h1"}
-        app_new, network_new = env(2)
-        app_new.deploy(linear_graph(["a", "b"]), placement=placement,
-                       network=network_new)
-
-        app_old, network_old = env(2)
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("ignore", DeprecationWarning)
-            deploy_distributed(app_old, network_old,
-                               linear_graph(["a", "b"]), placement)
-        assert rule_shapes(network_old) == rule_shapes(network_new)
-        assert rule_shapes(network_old)  # really compared something

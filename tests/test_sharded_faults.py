@@ -114,8 +114,7 @@ class TestFaultOnSlowLinkUnderAdaptiveSchedule:
         from tests.test_sharded_parity import DEFAULT_WORKERS
         base = ShardedSimulator(flapped_het_scenario(), shards=1).run()
         adaptive = ShardedSimulator(flapped_het_scenario(), shards=4,
-                                    workers=DEFAULT_WORKERS,
-                                    adaptive_windows=True).run()
+                                    workers=DEFAULT_WORKERS).run()
         return base, adaptive
 
     def test_flap_fires_on_owning_shard_at_exact_time(self, het_runs):

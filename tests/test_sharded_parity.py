@@ -12,7 +12,7 @@ The contract of :mod:`repro.sim.sharded`:
 
 CI's shard-parity job re-runs this whole suite with
 ``SDNFV_SHARD_WORKERS=2``, which routes every multi-shard run through
-the multiprocessing conductor — same assertions, worker transport.
+the multiprocessing conductor — same assertions, over worker pipes.
 """
 
 import os
@@ -160,17 +160,32 @@ DEFAULT_WORKERS = int(os.environ.get("SDNFV_SHARD_WORKERS", "0"))
 _RUNS: dict[tuple, object] = {}
 
 
+def uniform_minimum_plan(topology: Topology, shards: int) -> ShardPlan:
+    """The computed partition with every crossing pair's lookahead
+    lowered to the global minimum crossing delay: the classic global
+    barrier (every shard advances in lockstep windows of that width),
+    expressed as plan data."""
+    plan = ShardPlan.compute(topology, shards)
+    matrix = plan.lookahead_matrix
+    floor = min((delay for _, _, delay in matrix), default=0)
+    return ShardPlan(groups=plan.groups,
+                     lookahead_matrix=tuple((src, dst, floor)
+                                            for src, dst, _ in matrix))
+
+
 def sharded_run(shards: int, workers: int | None = None,
-                adaptive: bool = True, transport: str = "columnar"):
-    """Run (and memoize) the reference scenario at a shard count."""
+                uniform: bool = False):
+    """Run (and memoize) the reference scenario at a shard count, on
+    the computed plan or (``uniform=True``) the uniform-minimum one."""
     if workers is None:
         workers = DEFAULT_WORKERS if shards > 1 else 0
-    key = (shards, workers, adaptive, transport)
+    key = (shards, workers, uniform)
     if key not in _RUNS:
-        _RUNS[key] = ShardedSimulator(make_scenario(), shards=shards,
-                                      workers=workers,
-                                      adaptive_windows=adaptive,
-                                      transport=transport).run()
+        scenario = make_scenario()
+        plan = (uniform_minimum_plan(scenario.topology, shards)
+                if uniform else None)
+        _RUNS[key] = ShardedSimulator(scenario, shards=shards,
+                                      workers=workers, plan=plan).run()
     return _RUNS[key]
 
 
@@ -181,8 +196,8 @@ def strip_pool(summary: dict) -> dict:
 
 def strip_transport(shard_result: dict) -> dict:
     """Drop the schedule/transport odometers: they legitimately vary
-    with the window schedule (window count) and wire format
-    (messages/bytes) while every model observable stays identical."""
+    with the plan's lookaheads (window count, and so batches, messages
+    and bytes) while every model observable stays identical."""
     return {key: value for key, value in shard_result.items()
             if key != "transport"}
 
@@ -269,7 +284,8 @@ class TestShardPlan:
     def test_compute_partitions_contiguously_and_balanced(self):
         plan = ShardPlan.compute(line_topology(4), 2)
         assert plan.groups == (("h0", "h1"), ("h2", "h3"))
-        assert plan.lookahead_ns == LINK_DELAY
+        assert plan.lookahead_matrix == ((0, 1, LINK_DELAY),
+                                         (1, 0, LINK_DELAY))
         assert plan.owners() == {"h0": 0, "h1": 0, "h2": 1, "h3": 1}
 
     def test_uneven_split_front_loads_the_remainder(self):
@@ -279,7 +295,7 @@ class TestShardPlan:
     def test_single_shard_has_no_lookahead(self):
         plan = ShardPlan.compute(line_topology(4), 1)
         assert plan.groups == (("h0", "h1", "h2", "h3"),)
-        assert plan.lookahead_ns is None
+        assert plan.lookahead_matrix == ()
 
     def test_more_shards_than_hosts_rejected(self):
         with pytest.raises(ValueError, match="at most"):
@@ -298,68 +314,51 @@ class TestShardPlan:
     def test_validate_for_rejects_bad_manual_plans(self):
         topology = line_topology(4)
         with pytest.raises(ValueError, match="more than one shard"):
-            ShardPlan(groups=(("h0", "h1"), ("h1", "h2", "h3")),
-                      lookahead_ns=LINK_DELAY).validate_for(topology)
+            ShardPlan(groups=(("h0", "h1"), ("h1", "h2", "h3"))
+                      ).validate_for(topology)
         with pytest.raises(ValueError, match="every NFV host"):
-            ShardPlan(groups=(("h0",), ("h1",)),
-                      lookahead_ns=LINK_DELAY).validate_for(topology)
-        with pytest.raises(ValueError, match="at most"):
+            ShardPlan(groups=(("h0",), ("h1",))).validate_for(topology)
+        with pytest.raises(ValueError, match="minimum crossing delay"):
             ShardPlan(groups=(("h0", "h1"), ("h2", "h3")),
-                      lookahead_ns=LINK_DELAY + 1).validate_for(topology)
+                      lookahead_matrix=((0, 1, LINK_DELAY + 1),
+                                        (1, 0, LINK_DELAY))
+                      ).validate_for(topology)
 
     def test_manual_plan_accepted_and_used(self):
-        plan = ShardPlan(groups=(("h0", "h2"), ("h1", "h3")),
-                         lookahead_ns=LINK_DELAY)
+        plan = ShardPlan(groups=(("h0", "h2"), ("h1", "h3")))
         plan.validate_for(line_topology(4))
         simulator = ShardedSimulator(make_scenario(), plan=plan)
         assert simulator.plan is plan
 
 
 class TestScheduleTransportParity:
-    """Adaptive windows and the columnar wire format are pure perf
-    knobs: all four schedule x transport combinations are byte-identical
-    on every merged observable (the uniform reference topology also
-    pins that adaptive degenerates to the global-barrier schedule)."""
-
-    @pytest.mark.parametrize("adaptive", [True, False])
-    @pytest.mark.parametrize("transport", ["columnar", "pickle"])
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_all_combinations_byte_identical(self, shards, adaptive,
-                                             transport):
-        reference = sharded_run(shards=shards)
-        run = sharded_run(shards=shards, adaptive=adaptive,
-                          transport=transport)
-        assert ([strip_transport(result)
-                 for result in run.shard_results]
-                == [strip_transport(result)
-                    for result in reference.shard_results])
+    """The round schedule and the boundary codec change only how often
+    shards barrier and how frames travel, never what the network did."""
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_uniform_link_delays_degenerate_to_global_barrier(self,
                                                               shards):
-        """On a uniform-delay topology the adaptive schedule advances
-        every shard through exactly the global-barrier window count."""
-        adaptive = sharded_run(shards=shards, adaptive=True)
-        uniform = sharded_run(shards=shards, adaptive=False)
+        """On a uniform-delay topology the computed plan *is* the
+        uniform-minimum plan, and every shard advances through exactly
+        the global-barrier window count."""
+        assert (ShardPlan.compute(line_topology(), shards)
+                == uniform_minimum_plan(line_topology(), shards))
         expected = DURATION // LINK_DELAY  # 10 ms / 500 us windows
-        for result in uniform.shard_results:
-            assert result["transport"]["windows"] == expected
-        for result in adaptive.shard_results:
+        for result in sharded_run(shards=shards).shard_results:
             assert result["transport"]["windows"] == expected
 
     def test_columnar_transport_ships_fewer_messages(self):
-        columnar = sharded_run(shards=4, transport="columnar")
-        pickled = sharded_run(shards=4, transport="pickle")
-        c_summary = columnar.transport_summary()
-        p_summary = pickled.transport_summary()
-        # Same boundary traffic, same batch count...
-        assert c_summary["batches"] == p_summary["batches"] > 0
-        # ...but a handful of flat buffers per batch instead of one
-        # pickled tuple per packet.
-        assert p_summary["messages"] > c_summary["messages"]
-        assert c_summary["mode"] == "columnar"
-        assert p_summary["messages"] == sum(
-            result["boundary_tx"] for result in pickled.shard_results)
+        run = sharded_run(shards=4)
+        summary = run.transport_summary()
+        # Pickling the captured rows would ship one tuple per event...
+        per_event = sum(result["boundary_tx"]
+                        for result in run.shard_results)
+        # ...the codec ships ten flat buffers per batch (eleven when a
+        # row carries annotations).
+        assert summary["batches"] > 0
+        assert (10 * summary["batches"] <= summary["messages"]
+                <= 11 * summary["batches"])
+        assert per_event > summary["messages"]
 
     def test_transport_counters_account_real_bytes(self):
         run = sharded_run(shards=2)
@@ -367,11 +366,6 @@ class TestScheduleTransportParity:
         assert summary["bytes"] > 0
         assert summary["windows"] > 0
         assert summary["messages_per_batch"] > 0
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            ShardedSimulator(make_scenario(), shards=2,
-                             transport="carrier-pigeon")
 
 
 HET_FAST = 50 * US
@@ -413,27 +407,30 @@ _HET_RUNS: dict[tuple, object] = {}
 
 
 def het_run(shards: int, workers: int | None = None,
-            adaptive: bool = True, transport: str = "columnar"):
+            uniform: bool = False):
     if workers is None:
         workers = DEFAULT_WORKERS if shards > 1 else 0
-    key = (shards, workers, adaptive, transport)
+    key = (shards, workers, uniform)
     if key not in _HET_RUNS:
-        _HET_RUNS[key] = ShardedSimulator(het_scenario(), shards=shards,
+        scenario = het_scenario()
+        plan = (uniform_minimum_plan(scenario.topology, shards)
+                if uniform else None)
+        _HET_RUNS[key] = ShardedSimulator(scenario, shards=shards,
                                           workers=workers,
-                                          adaptive_windows=adaptive,
-                                          transport=transport).run()
+                                          plan=plan).run()
     return _HET_RUNS[key]
 
 
 class TestHeterogeneousDelays:
-    """Mixed 50 us / 5 ms crossing links: the adaptive schedule must
+    """Mixed 50 us / 5 ms crossing links: the computed per-pair plan
+    (adaptive rounds) and the uniform-minimum plan (global barrier) must
     change only how often shards barrier, never what the network did."""
 
     @pytest.mark.parametrize("adaptive", [True, False])
     @pytest.mark.parametrize("shards", [2, 4])
     def test_parity_with_single_shard(self, shards, adaptive):
         base = het_run(shards=1)
-        run = het_run(shards=shards, adaptive=adaptive)
+        run = het_run(shards=shards, uniform=not adaptive)
         for name in ("h0", "h1", "h2", "h3"):
             assert (strip_pool(run.host_summary(name))
                     == strip_pool(base.host_summary(name))), name
@@ -446,8 +443,8 @@ class TestHeterogeneousDelays:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_adaptive_identical_to_uniform_schedule(self, shards):
-        adaptive = het_run(shards=shards, adaptive=True)
-        uniform = het_run(shards=shards, adaptive=False)
+        adaptive = het_run(shards=shards)
+        uniform = het_run(shards=shards, uniform=True)
         assert ([strip_transport(result)
                  for result in adaptive.shard_results]
                 == [strip_transport(result)
@@ -464,8 +461,8 @@ class TestHeterogeneousDelays:
         """At shards=4 only the h1/h2 pair needs 50 us windows; the
         WAN-coupled end shards advance at 5 ms cadence instead of
         being dragged through every micro-window."""
-        adaptive = het_run(shards=4, adaptive=True)
-        uniform = het_run(shards=4, adaptive=False)
+        adaptive = het_run(shards=4)
+        uniform = het_run(shards=4, uniform=True)
         windows = [result["transport"]["windows"]
                    for result in adaptive.shard_results]
         per_shard_uniform = HET_DURATION // HET_FAST  # 600 micro-windows
@@ -482,7 +479,6 @@ class TestHeterogeneousDelays:
 
     def test_compute_builds_per_pair_matrix(self):
         plan = ShardPlan.compute(het_topology(), 4)
-        assert plan.lookahead_ns == HET_FAST
         assert plan.lookahead_matrix == (
             (0, 1, HET_SLOW), (1, 0, HET_SLOW),
             (1, 2, HET_FAST), (2, 1, HET_FAST),
@@ -493,7 +489,7 @@ class TestHeterogeneousDelays:
         topology = het_topology()
         groups = (("h0",), ("h1",), ("h2",), ("h3",))
         with pytest.raises(ValueError, match="missing the crossing"):
-            ShardPlan(groups=groups, lookahead_ns=HET_FAST,
+            ShardPlan(groups=groups,
                       lookahead_matrix=((0, 1, HET_SLOW),)
                       ).validate_for(topology)
         too_fast = (
@@ -501,12 +497,29 @@ class TestHeterogeneousDelays:
             (1, 2, HET_FAST), (2, 1, HET_FAST),
             (2, 3, HET_SLOW + 1), (3, 2, HET_SLOW))
         with pytest.raises(ValueError, match="minimum crossing delay"):
-            ShardPlan(groups=groups, lookahead_ns=HET_FAST,
+            ShardPlan(groups=groups,
                       lookahead_matrix=too_fast).validate_for(topology)
+        # Entries must name two distinct shards of the plan: an
+        # out-of-range shard would otherwise pass here and die inside
+        # the round schedule.
+        safe = ShardPlan.compute(topology, 4).lookahead_matrix
+        for stray in ((7, 0, HET_FAST), (0, 4, HET_FAST),
+                      (-1, 0, HET_FAST), (2, 2, HET_FAST)):
+            with pytest.raises(ValueError, match="two distinct shards"):
+                ShardPlan(groups=groups,
+                          lookahead_matrix=safe + (stray,)
+                          ).validate_for(topology)
+        # An extra (non-crossing) pair may slow the schedule down, but a
+        # zero lookahead can stall it (two shards pinned to each other's
+        # clocks never move).
+        ShardPlan(groups=groups, lookahead_matrix=safe + (
+            (0, 3, HET_FAST),)).validate_for(topology)
+        with pytest.raises(ValueError, match=">= 1 ns"):
+            ShardPlan(groups=groups, lookahead_matrix=safe + (
+                (0, 3, 0),)).validate_for(topology)
 
     def test_manual_plan_without_matrix_derives_from_topology(self):
-        plan = ShardPlan(groups=(("h0",), ("h1",), ("h2",), ("h3",)),
-                         lookahead_ns=HET_FAST)
+        plan = ShardPlan(groups=(("h0",), ("h1",), ("h2",), ("h3",)))
         simulator = ShardedSimulator(het_scenario(), plan=plan)
         assert simulator.plan is plan
         assert simulator._pair_lookaheads[(1, 2)] == HET_FAST
@@ -514,38 +527,32 @@ class TestHeterogeneousDelays:
 
 
 class TestWindowSchedule:
-    """The global-barrier edge stream is lazy: long runs with small
-    lookaheads must not materialize millions of edges up front."""
-
-    def huge_simulator(self) -> ShardedSimulator:
-        scenario = make_scenario()
-        scenario.duration_ns = 10**15  # ~11.6 days of simulated time
-        return ShardedSimulator(scenario, shards=2,
-                                adaptive_windows=False)
-
-    def test_windows_is_a_generator(self):
-        simulator = self.huge_simulator()
-        windows = simulator._windows()
-        assert iter(windows) is windows  # a true lazy iterator
-        from itertools import islice
-        assert list(islice(windows, 3)) == [
-            LINK_DELAY, 2 * LINK_DELAY, 3 * LINK_DELAY]
+    """The round stream is lazy: long runs with small lookaheads must
+    not materialize millions of rounds up front."""
 
     def test_rounds_are_lazy_too(self):
-        simulator = self.huge_simulator()
+        scenario = make_scenario()
+        scenario.duration_ns = 10**15  # ~11.6 days of simulated time
+        rounds = ShardedSimulator(scenario, shards=2)._rounds()
+        assert iter(rounds) is rounds  # a true lazy iterator
         from itertools import islice
-        first, second = islice(simulator._rounds(), 2)
-        assert first == {0: LINK_DELAY, 1: LINK_DELAY}
-        assert second == {0: 2 * LINK_DELAY, 1: 2 * LINK_DELAY}
+        assert list(islice(rounds, 3)) == [
+            {0: LINK_DELAY, 1: LINK_DELAY},
+            {0: 2 * LINK_DELAY, 1: 2 * LINK_DELAY},
+            {0: 3 * LINK_DELAY, 1: 3 * LINK_DELAY}]
 
     def test_final_partial_window_lands_on_duration(self):
         scenario = make_scenario()
         scenario.duration_ns = LINK_DELAY * 3 + 7
-        simulator = ShardedSimulator(scenario, shards=2,
-                                     adaptive_windows=False)
-        assert list(simulator._windows()) == [
-            LINK_DELAY, 2 * LINK_DELAY, 3 * LINK_DELAY,
-            scenario.duration_ns]
+        simulator = ShardedSimulator(scenario, shards=2)
+        edges = [LINK_DELAY, 2 * LINK_DELAY, 3 * LINK_DELAY,
+                 scenario.duration_ns]
+        assert list(simulator._rounds()) == [{0: edge, 1: edge}
+                                             for edge in edges]
+
+    def test_no_inbound_pairs_finish_in_one_round(self):
+        simulator = ShardedSimulator(make_scenario(), shards=1)
+        assert list(simulator._rounds()) == [{0: DURATION}]
 
 
 class TestVerifiedShardedRun:
