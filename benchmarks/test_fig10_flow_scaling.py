@@ -15,7 +15,7 @@ per-flow path.
 import pytest
 
 from repro.baselines import SdnVideoSystem
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.core import SdnfvApp, ServiceGraph
 from repro.core.service_graph import EXIT
 from repro.dataplane import NfvHost
@@ -30,8 +30,8 @@ MEASURE_NS = 2 * S
 
 def measure_sdn(rate: float) -> float:
     sim = Simulator()
-    controller = SdnController(sim, service_time_ns=500_000,
-                               propagation_ns=500_000)
+    controller = ControlPlane(sim, service_time_ns=500_000,
+                              propagation_ns=500_000)
     system = SdnVideoSystem(sim, controller)
     workload = FlowChurnWorkload(sim, system, new_flows_per_second=rate)
     sim.run(until=MEASURE_NS)

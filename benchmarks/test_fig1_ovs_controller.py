@@ -11,7 +11,7 @@ Regenerated two ways: the closed-form capacity model sweeps the full
 import pytest
 
 from repro.baselines import OvsControllerModel, OvsSwitchSim
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.metrics import series_table
 from repro.net import FiveTuple, Packet
 from repro.sim import MS, US, Simulator
@@ -36,8 +36,8 @@ def simulate_loss(punt_pct: float, packet_size: int,
     sustains without loss — so the validation checks where loss begins.
     """
     sim = Simulator()
-    controller = SdnController(sim, service_time_ns=100 * US,
-                               propagation_ns=50 * US)
+    controller = ControlPlane(sim, service_time_ns=100 * US,
+                              propagation_ns=50 * US)
     switch = OvsSwitchSim(sim, controller,
                           punt_fraction=punt_pct / 100.0,
                           fast_path_pps=3.3e6)

@@ -92,10 +92,10 @@ def uniform_minimum_plan(scenario: Scenario, shards: int) -> ShardPlan:
 
 def run_once(shards: int, workers: int, uniform: bool = False) -> dict:
     scenario = make_scenario()
-    plan = uniform_minimum_plan(scenario, shards) if uniform else None
+    plan = (uniform_minimum_plan(scenario, shards) if uniform
+            else ShardPlan.compute(scenario.topology, shards))
     started = time.perf_counter()
-    result = ShardedSimulator(scenario, shards=shards, workers=workers,
-                              plan=plan).run()
+    result = ShardedSimulator(scenario, workers=workers, plan=plan).run()
     wall_s = time.perf_counter() - started
     summary = result.transport_summary()
     return {

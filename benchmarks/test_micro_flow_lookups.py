@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.dataplane import FlowTableEntry, HostCosts, NfvHost, ToPort
 from repro.dataplane.flow_table import FlowTable
 from repro.metrics import comparison_table
@@ -30,7 +30,7 @@ def test_micro_costs_and_sdn_lookup(report, benchmark):
     def run():
         costs = HostCosts()
         sim = Simulator()
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         reply = controller.flow_request(
             "h0", "eth0", FiveTuple("1.1.1.1", "2.2.2.2", 6, 1, 2))
         sim.run(reply)
@@ -63,7 +63,7 @@ def test_sdn_lookup_off_critical_path(report, benchmark):
                                        match=FlowMatch.exact(flow),
                                        actions=(ToPort("eth1"),))]
 
-        controller = SdnController(sim, northbound=SlowApp())
+        controller = ControlPlane(sim, northbound=SlowApp())
         host = NfvHost(sim, name="h0", controller=controller)
         host.add_nf(NoOpNf("svc"))
         established = FiveTuple("10.0.0.1", "10.0.0.2", 6, 1, 80)

@@ -14,7 +14,7 @@ rules are reinstated and the recovery (MTTR, packets lost) is logged.
 Everything lands in the EventLog, so the whole story is one timeline.
 """
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import EXIT, SdnfvApp, ServiceGraph
 from repro.dataplane import NfvHost, ToService
 from repro.faults import FaultInjector, FaultPlan, NfCrash
@@ -29,7 +29,7 @@ CRASH_NS = 2 * S
 
 def main() -> None:
     sim = Simulator()
-    controller = SdnController(sim)
+    controller = ControlPlane(sim)
     orchestrator = NfvOrchestrator(sim)
     app = SdnfvApp(sim, controller=controller, orchestrator=orchestrator)
     log = EventLog(sim)

@@ -10,7 +10,7 @@ Shows the three observability surfaces around a running deployment:
 - a **PacketTap** captures egress frames as a replayable trace.
 """
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import EXIT, SdnfvApp, ServiceGraph
 from repro.dataplane import NfvHost
 from repro.dataplane.tap import PacketTap
@@ -23,7 +23,7 @@ from repro.workloads import FlowSpec, PktGen, trace_to_csv
 
 def main() -> None:
     sim = Simulator()
-    controller = SdnController(sim)
+    controller = ControlPlane(sim)
     orchestrator = NfvOrchestrator(sim)
     app = SdnfvApp(sim, controller=controller, orchestrator=orchestrator)
     log = EventLog(sim)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.control.controller import SdnController
+from repro.control.plane import ControlPlane
 from repro.metrics.throughput import ThroughputMeter
 from repro.net.flow import FiveTuple
 from repro.net.http import classify_content_type, is_video_content
@@ -33,7 +33,7 @@ from repro.sim.units import MS, NS
 class SdnVideoSystem:
     """Host data plane with controller-resident video logic."""
 
-    def __init__(self, sim: Simulator, controller: SdnController,
+    def __init__(self, sim: Simulator, controller: ControlPlane,
                  fast_path_ns: int = 300 * NS,
                  transcode_keep_ratio: float = 0.5,
                  flow_setup_buffer: int = 8192,

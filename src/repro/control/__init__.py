@@ -1,14 +1,13 @@
-"""The SDN control tier: controller, control plane, orchestrator, messages.
+"""The SDN control tier: the controller, the orchestrator, messages.
 
 The SDN Controller and NFV Orchestrator "provide interfaces between the
-SDNFV Application and the NF Manager" (§3.1).  The controller is modeled
-on POX: a single-threaded request server whose saturation behaviour drives
-Figs. 1 and 10.  :class:`ControlPlane` lifts that ceiling: N controller
-shards partitioned over flow space behind the same interface, with a
-two-phase protocol for cross-shard rule installs.
+SDNFV Application and the NF Manager" (§3.1).  :class:`ControlPlane` is
+the controller: one POX-like single-threaded request server by default,
+whose saturation behaviour drives Figs. 1 and 10, or N such shards
+partitioned over flow space, with a two-phase protocol for cross-shard
+rule installs.
 """
 
-from repro.control.controller import ControllerStats, SdnController
 from repro.control.openflow import (
     CommitInstall,
     FlowModMessage,
@@ -22,10 +21,8 @@ __all__ = [
     "CommitInstall",
     "ControlPlane",
     "ControlPlaneStats",
-    "ControllerStats",
     "FlowModMessage",
     "NfvOrchestrator",
     "PacketInMessage",
     "PrepareInstall",
-    "SdnController",
 ]

@@ -1,10 +1,19 @@
-"""A sharded control plane: N controllers partitioned over flow space.
+"""The SDN controller: one or more POX-like shards over flow space.
 
-The paper deliberately bottlenecks flow setup on one single-threaded POX
-controller (Figs. 1 and 10).  Dragonflow-style distribution is the escape
-hatch: split the controller into *shards*, each an unmodified
-:class:`~repro.control.controller.SdnController` with its own FIFO queue,
-capacity, and outage state, and partition the work:
+The paper uses POX, "a single threaded python application", deliberately —
+its saturation is the phenomenon behind Fig. 1 and Fig. 10.  Each shard
+is a FIFO queue served by ``workers_per_shard`` threads (one = POX) with
+a configurable per-request service time, plus symmetric channel
+propagation delay.  At idle the total flow-setup round trip matches
+§5.1's measured 31 ms; under load, queueing delay grows without bound —
+exactly the behaviour the experiments show.  ``shards=1`` (the default)
+is that single controller; rule content comes from a pluggable
+*northbound application* (usually the :class:`~repro.core.app.SdnfvApp`)
+implementing ``rules_for(host, scope, flow)``.
+
+Dragonflow-style distribution is the escape hatch: split the controller
+into *shards*, each with its own queue, capacity, and outage state, and
+partition the work:
 
 - **Reactive requests** (table-miss ``PacketInMessage``) route by flow:
   ``FiveTuple.hash_bucket(n_shards)`` names the owning shard, so one
@@ -24,10 +33,6 @@ capacity, and outage state, and partition the work:
   ``manager.install_rule`` so the ownership verifier audits it like any
   other table write.
 
-``shards=1`` constructs exactly one :class:`SdnController` and delegates
-every call to it unchanged — byte-identical to today's single-controller
-path (pinned by the golden-parity suite).
-
 With ``failover=True`` (default), requests owned by a downed shard are
 absorbed by the next live shard in ring order — the surviving shards
 cover the dead shard's flow-space, so a :class:`ControllerOutage` on one
@@ -37,15 +42,20 @@ shard no longer stalls flows owned by the others.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import typing
 
-from repro.control.controller import SdnController
-from repro.control.openflow import CommitInstall, PrepareInstall
+from repro.control.openflow import (
+    CommitInstall,
+    PacketInMessage,
+    PrepareInstall,
+)
 from repro.dataplane.flow_table import FlowTableEntry
 from repro.net.flow import FiveTuple
 from repro.sim.events import Event
 from repro.sim.simulator import Simulator
+from repro.sim.store import Store
 from repro.sim.units import US
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -62,10 +72,118 @@ def _host_bucket(name: str, buckets: int) -> int:
     return digest % buckets
 
 
+def _install(host_manager: typing.Any,
+             entries: typing.Sequence[FlowTableEntry]) -> bool:
+    for entry in entries:
+        host_manager.install_rule(entry)
+    return True
+
+
+@dataclasses.dataclass
+class _ShardStats:
+    """Load counters for one controller shard."""
+
+    requests: int = 0
+    busy_ns: int = 0
+    max_queue: int = 0
+    failures: int = 0
+    outages: int = 0
+
+    def utilization(self, elapsed_ns: int) -> float:
+        return self.busy_ns / elapsed_ns if elapsed_ns else 0.0
+
+
+class _Shard:
+    """One controller shard: a FIFO request queue served by ``workers``
+    threads, each request costing one service time."""
+
+    def __init__(self, sim: Simulator, service_time_ns: int,
+                 propagation_ns: int, workers: int) -> None:
+        if service_time_ns <= 0:
+            raise ValueError("service time must be positive")
+        if workers < 1:
+            raise ValueError("need at least one worker")
+        self.sim = sim
+        self.service_time_ns = service_time_ns
+        self.propagation_ns = propagation_ns
+        self.workers = workers
+        self.stats = _ShardStats()
+        self.down = False
+        self._restored: Event | None = None
+        self._queue = Store(sim)
+        for _ in range(workers):
+            sim.process(self._serve())
+
+    def set_down(self, down: bool) -> None:
+        """While down, requests still propagate and queue, but no worker
+        serves them — hosts see unbounded response times (what their
+        retry policies must absorb)."""
+        self.down = down
+        if down:
+            self._restored = self.sim.event()
+        else:
+            restored, self._restored = self._restored, None
+            if restored is not None:
+                restored.succeed()
+
+    @property
+    def queue_depth(self) -> int:
+        return len(self._queue)
+
+    def snapshot(self) -> dict[str, int | float | bool]:
+        """Scalar load counters as primitives — one row of
+        :meth:`ControlPlane.snapshot`."""
+        return {
+            "requests": self.stats.requests,
+            "busy_ns": self.stats.busy_ns,
+            "utilization": self.stats.utilization(self.sim.now),
+            "queue_depth": self.queue_depth,
+            "max_queue": self.stats.max_queue,
+            "failures": self.stats.failures,
+            "outages": self.stats.outages,
+            "down": self.down,
+        }
+
+    def submit(self, compute: typing.Callable[[], typing.Any]) -> Event:
+        """Queue one unit of work; the event fires with its result after
+        propagation + queueing + service + propagation."""
+        reply = self.sim.event()
+        job = (compute, reply)
+        # Request propagation to the controller.
+        self.sim.schedule(self.propagation_ns,
+                          lambda: self._queue.try_put(job))
+        return reply
+
+    def _serve(self):
+        while True:
+            compute, reply = yield self._queue.get()
+            while self.down:
+                yield self._restored
+            self.stats.max_queue = max(self.stats.max_queue,
+                                       len(self._queue) + 1)
+            yield self.sim.timeout(self.service_time_ns)
+            self.stats.requests += 1
+            self.stats.busy_ns += self.service_time_ns
+            try:
+                result = compute()
+            except Exception as error:  # noqa: BLE001 - app fault isolation
+                # A buggy northbound app must not kill the controller:
+                # fail that one request and keep serving.
+                self.stats.failures += 1
+                self.sim.schedule(self.propagation_ns,
+                                  lambda event=reply, exc=error:
+                                  event.fail(exc))
+                continue
+            # Reply propagation back to the host.
+            self.sim.schedule(self.propagation_ns,
+                              lambda event=reply, value=result:
+                              event.succeed(value))
+
+
 @dataclasses.dataclass
 class ControlPlaneStats:
     """Plane-level counters (per-shard load lives in each shard's
-    :class:`~repro.control.controller.ControllerStats`)."""
+    ``stats``)."""
 
     transactions: int = 0
     failovers: int = 0
@@ -73,13 +191,13 @@ class ControlPlaneStats:
 
 
 class ControlPlane:
-    """N controller shards behind the single-controller interface.
+    """The SDN controller: N shards (default one) over flow space.
 
-    Drop-in for :class:`SdnController` wherever one is duck-typed
-    (``NfManager.controller``, ``SdnfvApp(controller=...)``,
-    ``FaultInjector(controller=...)``): ``flow_request`` / ``push_rules``
-    / ``submit_work`` route to a shard and return that shard's reply
-    event; ``northbound`` fans out to every shard.
+    Hosts (``NfManager.controller``), the application
+    (``SdnfvApp(controller=...)``) and fault plans
+    (``FaultInjector(controller=...)``) all talk to it:
+    ``flow_request`` / ``push_rules`` / ``submit_work`` route to a shard
+    and return that shard's reply event.
     """
 
     def __init__(self, sim: Simulator, shards: int = 1,
@@ -90,36 +208,24 @@ class ControlPlane:
                  failover: bool = True,
                  host_shards: typing.Mapping[str, int] | None = None,
                  event_log: typing.Any | None = None) -> None:
+        """``workers_per_shard=1`` models POX.  The paper expects "a
+        similar trend even with higher performance SDN Controllers" —
+        raise it to model a multi-threaded controller and check that the
+        saturation point shifts but the shape stays."""
         if shards < 1:
             raise ValueError("need at least one controller shard")
         self.sim = sim
         self.service_time_ns = service_time_ns
         self.propagation_ns = propagation_ns
+        self.northbound = northbound
         self.failover = failover
         self.event_log = event_log
         self.stats = ControlPlaneStats()
-        self._northbound = northbound
         self._host_shards = dict(host_shards or {})
         self._txn_ids = itertools.count()
-        self.shards: tuple[SdnController, ...] = tuple(
-            SdnController(sim, service_time_ns=service_time_ns,
-                          propagation_ns=propagation_ns,
-                          northbound=northbound,
-                          workers=workers_per_shard)
+        self.shards: tuple[_Shard, ...] = tuple(
+            _Shard(sim, service_time_ns, propagation_ns, workers_per_shard)
             for _ in range(shards))
-
-    # ------------------------------------------------------------------
-    # Single-controller compatibility surface
-    # ------------------------------------------------------------------
-    @property
-    def northbound(self) -> typing.Any | None:
-        return self._northbound
-
-    @northbound.setter
-    def northbound(self, app: typing.Any | None) -> None:
-        self._northbound = app
-        for shard in self.shards:
-            shard.northbound = app
 
     @property
     def down(self) -> bool:
@@ -128,15 +234,15 @@ class ControlPlane:
 
     @property
     def idle_lookup_ns(self) -> int:
-        return self.shards[0].idle_lookup_ns
+        """Flow-setup round trip with empty queues (§5.1: 31 ms)."""
+        return 2 * self.propagation_ns + self.service_time_ns
 
     @property
     def capacity_per_second(self) -> float:
-        """Aggregate saturation request rate across all shards."""
-        return sum(shard.capacity_per_second for shard in self.shards)
-
-    def attach_event_log(self, event_log: typing.Any) -> None:
-        self.event_log = event_log
+        """Aggregate saturation request rate across all worker threads
+        of all shards."""
+        return sum(shard.workers * 1e9 / self.service_time_ns
+                   for shard in self.shards)
 
     # ------------------------------------------------------------------
     # Flow-space partition
@@ -152,39 +258,52 @@ class ControlPlane:
             return explicit % len(self.shards)
         return _host_bucket(host_name, len(self.shards))
 
-    def _route(self, index: int) -> tuple[int, SdnController]:
+    def _route(self, index: int) -> _Shard:
         """Resolve an owner index to a live shard (ring failover)."""
         shard = self.shards[index]
         if not shard.down or not self.failover:
-            return index, shard
+            return shard
         count = len(self.shards)
         for offset in range(1, count):
             candidate = (index + offset) % count
             if not self.shards[candidate].down:
                 self.stats.failovers += 1
                 self._log("shard_failover", shard=index, absorbed_by=candidate)
-                return candidate, self.shards[candidate]
-        return index, shard  # total outage: queue at the owner
+                return self.shards[candidate]
+        return shard  # total outage: queue at the owner
 
     # ------------------------------------------------------------------
     # Southbound / northbound request routing
     # ------------------------------------------------------------------
     def flow_request(self, host: str, scope: str, flow: FiveTuple) -> Event:
         """Packet-in, routed to the flow's owning shard (or, during that
-        shard's outage, absorbed by the next live shard)."""
-        _index, shard = self._route(self.owner_of(flow))
-        return shard.flow_request(host, scope, flow)
+        shard's outage, absorbed by the next live shard).  The event
+        fires with the northbound app's rule list after the full round
+        trip."""
+        message = PacketInMessage(host=host, scope=scope, flow=flow)
+        return self._route(self.owner_of(flow)).submit(
+            lambda: self._rules_for(message))
+
+    def _rules_for(self, message: PacketInMessage) -> list[FlowTableEntry]:
+        if self.northbound is None:
+            return []
+        return list(self.northbound.rules_for(message.host, message.scope,
+                                              message.flow))
 
     def push_rules(self, host_manager: typing.Any,
                    entries: typing.Sequence[FlowTableEntry]) -> Event:
-        """Proactive install on one host through its owning shard."""
-        _index, shard = self._route(self.shard_for_host(host_manager.name))
-        return shard.push_rules(host_manager, entries)
+        """Install rules on a host through its owning shard (Fig. 2 steps
+        2–3).  Occupies one service slot plus propagation each way; the
+        returned event fires once the rules are installed on the host."""
+        return self._route(self.shard_for_host(host_manager.name)).submit(
+            functools.partial(_install, host_manager, entries))
 
     def submit_work(self, compute: typing.Callable[[], typing.Any],
                     shard: int = 0) -> Event:
-        """Controller-resident work pinned to one shard's queue."""
-        return self.shards[shard].submit_work(compute)
+        """Run arbitrary controller-resident work through one shard's
+        queue (used by SDN-baseline applications whose logic lives in the
+        controller)."""
+        return self.shards[shard].submit(compute)
 
     # ------------------------------------------------------------------
     # Cross-shard installs: two-phase, deterministic commit order
@@ -208,15 +327,15 @@ class ControlPlane:
                               []).append((manager, entries))
         order = sorted(groups)
         txn_id = next(self._txn_ids)
+        done = self.sim.event()
         if len(order) <= 1:
-            replies = [self.shards[index].push_rules(manager, list(entries))
+            replies = [self.shards[index].submit(functools.partial(
+                           _install, manager, list(entries)))
                        for index in order
                        for manager, entries in groups[index]]
-            done = self.sim.event()
             gate = self.sim.all_of(replies)
             gate.callbacks.append(lambda _event: done.succeed(txn_id))
             return done
-        done = self.sim.event()
         self.stats.transactions += 1
         self.sim.process(self._two_phase(txn_id, groups, order, done))
         return done
@@ -233,7 +352,7 @@ class ControlPlane:
                 hosts=tuple(manager.name for manager, _ in groups[index]))
             self._log("txn_prepare", shard=index, txn=txn_id,
                       hosts=len(message.hosts))
-            prepares.append(self.shards[index].submit_work(
+            prepares.append(self.shards[index].submit(
                 lambda prepared=message: prepared))
         yield self.sim.all_of(prepares)
         for index in order:
@@ -249,7 +368,7 @@ class ControlPlane:
                         manager.install_rule(entry)
                 return len(message.entries)
 
-            installed = yield self.shards[index].submit_work(commit)
+            installed = yield self.shards[index].submit(commit)
             self._log("txn_commit", shard=index, txn=txn_id,
                       rules=installed)
         done.succeed(txn_id)
@@ -264,15 +383,15 @@ class ControlPlane:
             for index in range(len(self.shards)):
                 self.set_down(down, shard=index)
             return
-        controller = self.shards[shard]
-        if controller.down == down:
+        if self.shards[shard].down == down:
             return
-        controller.set_down(down)
+        self.shards[shard].set_down(down)
         self._log("controller_shard_down" if down
                   else "controller_shard_restored", shard=shard)
 
     def outage(self, duration_ns: int, shard: int | None = None) -> None:
-        """A bounded outage of one shard (or the whole plane)."""
+        """A bounded outage of one shard (or the whole plane): down now,
+        back after ``duration_ns``."""
         if duration_ns <= 0:
             raise ValueError("outage duration must be positive")
         if shard is None:

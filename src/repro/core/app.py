@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.control.controller import SdnController
+from repro.control.plane import ControlPlane
 from repro.control.orchestrator import NfvOrchestrator
 from repro.dataplane.flow_table import FlowTableEntry
 from repro.dataplane.host import NfvHost
@@ -66,7 +66,7 @@ class SdnfvApp:
     """Global policies, graph deployment, and cross-layer coordination."""
 
     def __init__(self, sim: Simulator,
-                 controller: SdnController | None = None,
+                 controller: ControlPlane | None = None,
                  orchestrator: NfvOrchestrator | None = None,
                  validation_latency_ns: int = 0,
                  trust_nfs: bool = True) -> None:
@@ -93,15 +93,14 @@ class SdnfvApp:
     # ------------------------------------------------------------------
     def attach_event_log(self, event_log: typing.Any) -> None:
         """Attach one control-event log to the app, every registered
-        host, and the orchestrator."""
+        host, the orchestrator, and the controller."""
         self.event_log = event_log
         for host in self.hosts.values():
             host.manager.event_log = event_log
         if self.orchestrator is not None:
             self.orchestrator.event_log = event_log
-        if (self.controller is not None
-                and hasattr(self.controller, "attach_event_log")):
-            self.controller.attach_event_log(event_log)
+        if self.controller is not None:
+            self.controller.event_log = event_log
 
     # ------------------------------------------------------------------
     # Host / infrastructure registration
@@ -173,8 +172,10 @@ class SdnfvApp:
             self.event_log.record("deploy", graph=graph.name,
                                   proactive=proactive,
                                   services=len(graph.services))
-        involved = (set(placement.values()) if placement
-                    else set(self.hosts))
+        # Sorted: the pushes queue at the controller in this order, so a
+        # set's per-process hash order must not pick who is served first.
+        involved = sorted(set(placement.values()) if placement
+                          else self.hosts)
         pushes: list[tuple[NfvHost, list[FlowTableEntry]]] = []
         for host_name in involved:
             host = self.hosts[host_name]
@@ -309,22 +310,18 @@ class SdnfvApp:
     def _install_all(self, pushes: list[tuple[NfvHost,
                                               list[FlowTableEntry]]]) -> None:
         """Install compiled per-host batches: directly without a
-        controller, per host through a plain controller, or — when the
-        deployment spans hosts and the controller is a sharded
-        :class:`~repro.control.plane.ControlPlane` — as one cross-shard
-        transaction with a deterministic commit order."""
-        if not pushes:
-            return
+        controller, else one push for a single host, or — when the
+        deployment spans hosts — one ``install_batch`` transaction with
+        a deterministic commit order."""
         if self.controller is None:
             for host, rules in pushes:
                 host.install_rules(rules)
-        elif (len(pushes) > 1
-                and hasattr(self.controller, "install_batch")):
+        elif len(pushes) == 1:
+            host, rules = pushes[0]
+            self.controller.push_rules(host.manager, rules)
+        elif pushes:
             self.controller.install_batch(
                 [(host.manager, rules) for host, rules in pushes])
-        else:
-            for host, rules in pushes:
-                self.controller.push_rules(host.manager, rules)
 
     def launch_nf(self, host: NfvHost | str,
                   nf_factory: typing.Callable[[], typing.Any],

@@ -14,8 +14,6 @@ import dataclasses
 import enum
 import typing
 
-from repro.control.controller import ControllerStats
-
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.app import SdnfvApp
 
@@ -80,7 +78,7 @@ class HierarchySnapshot:
 
     taken_at_ns: int
     hosts: dict[str, HostView]
-    controller: ControllerStats | None
+    controller: dict[str, typing.Any] | None  # ControlPlane.snapshot()
     deployments: list[str]
 
     @classmethod
@@ -95,8 +93,8 @@ class HierarchySnapshot:
                 stats=manager.stats.summary(),
                 flow_table_size=len(manager.flow_table),
             )
-        controller = (app.controller.stats if app.controller is not None
-                      else None)
+        controller = (app.controller.snapshot()
+                      if app.controller is not None else None)
         return cls(
             taken_at_ns=app.sim.now,
             hosts=hosts,
@@ -129,7 +127,9 @@ class HierarchySnapshot:
                 depth = view.queue_depths.get(service, 0)
                 lines.append(f"    svc {service}: queue={depth}")
         if self.controller is not None:
-            lines.append(f"  controller: requests="
-                         f"{self.controller.requests} "
-                         f"max_queue={self.controller.max_queue}")
+            rows = self.controller["shards"]
+            requests = sum(row["requests"] for row in rows)
+            max_queue = max(row["max_queue"] for row in rows)
+            lines.append(f"  controller: requests={requests} "
+                         f"max_queue={max_queue}")
         return "\n".join(lines)

@@ -5,10 +5,8 @@ The two quantities the distributed control plane is supposed to move
 queue depth over time — and what fraction of flow setups still take the
 reactive slow path once proactive pre-population covers the rest.
 
-Attach a monitor to a :class:`~repro.control.plane.ControlPlane` (a
-plain :class:`~repro.control.controller.SdnController` works too — it is
-treated as one shard) and the hosts whose miss classifiers feed the
-rate::
+Attach a monitor to a :class:`~repro.control.plane.ControlPlane` (of
+any shard count) and the hosts whose miss classifiers feed the rate::
 
     monitor = ControlPlaneMonitor(sim, plane, hosts=app.hosts.values())
     monitor.start(interval_ns=1 * MS)
@@ -23,6 +21,9 @@ import typing
 from repro.metrics.timeseries import TimeSeries
 from repro.sim.simulator import Simulator
 from repro.sim.units import MS
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.control.plane import ControlPlane
 
 
 def aggregate_miss_rate(hosts: typing.Iterable[typing.Any]
@@ -42,12 +43,12 @@ class ControlPlaneMonitor:
     """Periodic sampler: per-shard utilization/queue-depth timeseries
     plus the aggregate reactive-miss-rate series."""
 
-    def __init__(self, sim: Simulator, plane: typing.Any,
+    def __init__(self, sim: Simulator, plane: ControlPlane,
                  hosts: typing.Iterable[typing.Any] = ()) -> None:
         self.sim = sim
         self.plane = plane
         self.hosts = list(hosts)
-        self._shards = list(getattr(plane, "shards", None) or (plane,))
+        self._shards = plane.shards
         count = len(self._shards)
         self.utilization = [TimeSeries(f"shard{i}/utilization")
                             for i in range(count)]

@@ -718,7 +718,9 @@ class ShardedSimulator:
     ``workers=0`` runs every shard in-process (deterministic, fully
     debuggable); ``workers=N`` spreads the shards over N
     ``multiprocessing`` workers with the identical round/boundary
-    protocol.  ``shards=1`` is byte-identical to the monolithic kernel.
+    protocol.  ``shards=1`` (the default without a ``plan``) is
+    byte-identical to the monolithic kernel; with a ``plan``, the shard
+    count is ``len(plan.groups)`` and an explicit ``shards=`` must agree.
 
     Each shard advances against its inbound neighbors' clocks via the
     plan's per-pair lookahead matrix (see :meth:`_rounds`); boundary
@@ -726,13 +728,17 @@ class ShardedSimulator:
     destination shard.
     """
 
-    def __init__(self, scenario: Scenario, shards: int = 1,
+    def __init__(self, scenario: Scenario, shards: int | None = None,
                  workers: int = 0,
                  plan: ShardPlan | None = None) -> None:
         scenario.validate()
         self.scenario = scenario
         if plan is None:
-            plan = ShardPlan.compute(scenario.topology, shards)
+            plan = ShardPlan.compute(
+                scenario.topology, 1 if shards is None else shards)
+        elif shards not in (None, len(plan.groups)):
+            raise ValueError(f"shards={shards} disagrees with the plan's "
+                             f"{len(plan.groups)} groups")
         else:
             plan.validate_for(scenario.topology)
         self.plan = plan

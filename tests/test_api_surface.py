@@ -32,7 +32,7 @@ SURFACE = frozenset({
     # NF programming model
     "NetworkFunction", "action_profile", "NfContext",
     # control tier
-    "ControlPlane", "NfvOrchestrator", "SdnController",
+    "ControlPlane", "NfvOrchestrator",
     # global tier
     "DROP", "EXIT", "GraphDeployment", "SdnfvApp", "ServiceGraph",
     "compile_proactive_rules",

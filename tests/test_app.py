@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import HierarchySnapshot, SdnfvApp, ServiceGraph
 from repro.core.service_graph import EXIT
 from repro.core.state import StateKind, StateTier, classify_state
@@ -22,7 +22,7 @@ from tests.test_service_graph import anomaly_graph, video_graph
 
 @pytest.fixture
 def app_env(sim):
-    controller = SdnController(sim)
+    controller = ControlPlane(sim)
     orchestrator = NfvOrchestrator(sim)
     app = SdnfvApp(sim, controller=controller, orchestrator=orchestrator)
     host = NfvHost(sim, name="h0", controller=controller)
@@ -42,7 +42,7 @@ class TestDeployment:
         assert len(host.flow_table) == 0  # still in flight
         sim.run(until=controller.idle_lookup_ns + 1 * MS)
         assert len(host.flow_table) == 5  # eth0 + 4 services
-        assert controller.stats.requests == 1
+        assert controller.requests == 1
 
     def test_deploy_registers_parallel_chains(self, sim, app_env):
         app, _controller, _orch, host = app_env
@@ -85,7 +85,7 @@ class TestDeployment:
 
 class TestOnDemandRules:
     def test_miss_pulls_rules_from_deployment(self, sim, flow):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         app = SdnfvApp(sim, controller=controller)
         host = NfvHost(sim, name="h0", controller=controller)
         app.register_host(host)
@@ -101,7 +101,7 @@ class TestOnDemandRules:
         assert len(host.flow_table) == 5
 
     def test_uncovered_flow_gets_no_rules(self, sim, flow, udp_flow):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         app = SdnfvApp(sim, controller=controller)
         host = NfvHost(sim, name="h0", controller=controller)
         app.register_host(host)
@@ -255,3 +255,24 @@ class TestStateHierarchy:
         assert snapshot.controller is not None
         rx, tx = snapshot.total_packets()
         assert rx == tx == 0
+
+    def test_snapshot_freezes_controller_load(self, sim, app_env):
+        # The snapshot holds primitives copied at gather time: later
+        # controller work must not rewrite an earlier snapshot.
+        app, controller, _orch, _host = app_env
+        before = HierarchySnapshot.gather(app)
+        sim.run(controller.submit_work(lambda: None))
+        after = HierarchySnapshot.gather(app)
+        assert before.controller["shards"][0]["requests"] == 0
+        assert after.controller["shards"][0]["requests"] == 1
+        assert "controller: requests=0 max_queue=0" in before.format()
+        assert "controller: requests=1 max_queue=1" in after.format()
+
+    def test_snapshot_formats_every_shard(self, sim):
+        plane = ControlPlane(sim, shards=2, propagation_ns=0)
+        app = SdnfvApp(sim, controller=plane)
+        for shard in (0, 1, 1):
+            plane.submit_work(lambda: None, shard=shard)
+        sim.run()
+        text = HierarchySnapshot.gather(app).format()
+        assert "controller: requests=3 max_queue=2" in text

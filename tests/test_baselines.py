@@ -10,7 +10,7 @@ from repro.baselines import (
     make_dpdk_forwarder,
 )
 from repro.baselines.twemproxy import TwemproxyCosts, TwemproxySim
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.net import FiveTuple, Packet
 from repro.sim import MS, S, US
 from repro.workloads.sessions import video_reply_payload
@@ -54,8 +54,8 @@ class TestOvsModel:
             OvsControllerModel().max_throughput_gbps(1.5, 256)
 
     def test_sim_matches_analytic_shape(self, sim, flow):
-        controller = SdnController(sim, service_time_ns=500 * US,
-                                   propagation_ns=50 * US)
+        controller = ControlPlane(sim, service_time_ns=500 * US,
+                                  propagation_ns=50 * US)
         switch = OvsSwitchSim(sim, controller, punt_fraction=0.05,
                               fast_path_pps=1e6, punt_buffer=64)
 
@@ -72,7 +72,7 @@ class TestOvsModel:
         assert switch.dropped_punts > 0
 
     def test_sim_no_punt_forwards_all(self, sim, flow):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         switch = OvsSwitchSim(sim, controller, punt_fraction=0.0)
         for _ in range(100):
             switch.offer(Packet(flow=flow, size=256))
@@ -94,18 +94,18 @@ class TestSdnVideoSystem:
                 system.inject("eth0", Packet(flow=flow, size=size))
 
     def test_two_controller_trips_per_flow(self, sim):
-        controller = SdnController(sim, service_time_ns=500 * US,
-                                   propagation_ns=100 * US)
+        controller = ControlPlane(sim, service_time_ns=500 * US,
+                                  propagation_ns=100 * US)
         system = SdnVideoSystem(sim, controller)
         self._drive_flows(sim, system, count=5)
         sim.run(until=1 * S)
         assert system.completed_flows == 5
-        assert controller.stats.requests == 10  # 2 per flow
+        assert controller.requests == 10  # 2 per flow
         assert system.forwarded == 5 * 4
 
     def test_policy_change_only_affects_new_flows(self, sim):
-        controller = SdnController(sim, service_time_ns=200 * US,
-                                   propagation_ns=50 * US)
+        controller = ControlPlane(sim, service_time_ns=200 * US,
+                                  propagation_ns=50 * US)
         system = SdnVideoSystem(sim, controller)
         self._drive_flows(sim, system, count=3, packets_each=2)
         sim.run(until=200 * MS)
@@ -124,8 +124,8 @@ class TestSdnVideoSystem:
         assert system.transcode_dropped > 0
 
     def test_controller_saturation_limits_flow_setup(self, sim):
-        controller = SdnController(sim, service_time_ns=1 * MS,
-                                   propagation_ns=0)
+        controller = ControlPlane(sim, service_time_ns=1 * MS,
+                                  propagation_ns=0)
         system = SdnVideoSystem(sim, controller, flow_setup_buffer=100000)
         self._drive_flows(sim, system, count=2000, packets_each=2)
         sim.run(until=1 * S)

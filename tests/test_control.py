@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.control.openflow import FlowModMessage, PacketInMessage
 from repro.control.orchestrator import VM_BOOT_NS
 from repro.dataplane import FlowTableEntry, NfvHost, ToPort
@@ -28,20 +28,20 @@ class StaticApp:
 
 class TestControllerQueue:
     def test_idle_lookup_is_31ms(self, sim):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         assert controller.idle_lookup_ns == 31 * MS
 
     def test_flow_request_round_trip_time(self, sim, flow):
-        controller = SdnController(sim, northbound=StaticApp())
+        controller = ControlPlane(sim, northbound=StaticApp())
         reply = controller.flow_request("h0", "eth0", flow)
         sim.run(reply)
         assert sim.now == controller.idle_lookup_ns
         assert len(reply.value) == 1
 
     def test_requests_queue_behind_each_other(self, sim, flow):
-        controller = SdnController(sim, service_time_ns=1 * MS,
-                                   propagation_ns=0,
-                                   northbound=StaticApp())
+        controller = ControlPlane(sim, service_time_ns=1 * MS,
+                                  propagation_ns=0,
+                                  northbound=StaticApp())
         replies = [controller.flow_request("h0", "eth0", flow)
                    for _ in range(5)]
         done_times = []
@@ -49,20 +49,20 @@ class TestControllerQueue:
             reply.callbacks.append(lambda e: done_times.append(sim.now))
         sim.run()
         assert done_times == [1 * MS, 2 * MS, 3 * MS, 4 * MS, 5 * MS]
-        assert controller.stats.requests == 5
-        assert controller.stats.max_queue >= 1
+        assert controller.requests == 5
+        assert controller.shards[0].stats.max_queue >= 1
 
     def test_capacity_per_second(self, sim):
-        controller = SdnController(sim, service_time_ns=500 * US)
+        controller = ControlPlane(sim, service_time_ns=500 * US)
         assert controller.capacity_per_second == 2000
 
     def test_no_northbound_returns_empty(self, sim, flow):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         reply = controller.flow_request("h0", "eth0", flow)
         assert sim.run(reply) == []
 
     def test_push_rules_installs_on_host(self, sim, flow):
-        controller = SdnController(sim, propagation_ns=100 * US)
+        controller = ControlPlane(sim, propagation_ns=100 * US)
         host = NfvHost(sim, name="h0")
         done = controller.push_rules(host.manager, [FlowTableEntry(
             scope="eth0", match=FlowMatch.any(),
@@ -71,29 +71,29 @@ class TestControllerQueue:
         assert len(host.flow_table) == 1
 
     def test_submit_work_runs_in_controller(self, sim):
-        controller = SdnController(sim, service_time_ns=2 * MS,
-                                   propagation_ns=1 * MS)
+        controller = ControlPlane(sim, service_time_ns=2 * MS,
+                                  propagation_ns=1 * MS)
         result = controller.submit_work(lambda: "computed")
         assert sim.run(result) == "computed"
         assert sim.now == 4 * MS
 
     def test_service_time_positive(self, sim):
         with pytest.raises(ValueError):
-            SdnController(sim, service_time_ns=0)
+            ControlPlane(sim, service_time_ns=0)
 
     def test_utilization(self, sim, flow):
-        controller = SdnController(sim, service_time_ns=1 * MS,
-                                   propagation_ns=0)
+        controller = ControlPlane(sim, service_time_ns=1 * MS,
+                                  propagation_ns=0)
         for _ in range(3):
             controller.flow_request("h0", "eth0", flow)
         sim.run()
-        assert controller.stats.utilization(sim.now) > 0.9
+        assert controller.utilizations(sim.now)[0] > 0.9
 
 
 class TestMissPathIntegration:
     def test_miss_consults_controller_then_forwards(self, sim, flow):
         app = StaticApp()
-        controller = SdnController(sim, northbound=app)
+        controller = ControlPlane(sim, northbound=app)
         host = NfvHost(sim, name="h0", controller=controller)
         out = []
         host.port("eth1").on_egress = out.append
@@ -108,7 +108,7 @@ class TestMissPathIntegration:
 
     def test_installed_rule_serves_later_packets_locally(self, sim, flow):
         app = StaticApp()
-        controller = SdnController(sim, northbound=app)
+        controller = ControlPlane(sim, northbound=app)
         host = NfvHost(sim, name="h0", controller=controller)
         out = []
         host.port("eth1").on_egress = out.append
@@ -122,7 +122,7 @@ class TestMissPathIntegration:
 
     def test_distinct_flows_consult_separately(self, sim, flow, udp_flow):
         app = StaticApp()
-        controller = SdnController(sim, northbound=app)
+        controller = ControlPlane(sim, northbound=app)
         host = NfvHost(sim, name="h0", controller=controller)
         host.inject("eth0", Packet(flow=flow, size=128))
         host.inject("eth0", Packet(flow=udp_flow, size=128))

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.control import ControlPlane, SdnController
+from repro.control import ControlPlane
 from repro.control.plane import _host_bucket
 from repro.dataplane import (
     ControlPlanePolicy,
@@ -76,14 +76,14 @@ def entry_for(flow: FiveTuple, scope: str = "eth0",
 
 
 class TestCompatSurface:
-    """ControlPlane is a drop-in for SdnController."""
+    """One shard is the POX controller; more shards keep its interface."""
 
     def test_single_shard_idle_round_trip_is_31ms(self, sim, flow):
         plane = ControlPlane(sim, shards=1, northbound=StaticApp())
         reply = plane.flow_request("h0", "eth0", flow)
         sim.run(reply)
         assert sim.now == plane.idle_lookup_ns
-        assert plane.idle_lookup_ns == SdnController(sim).idle_lookup_ns
+        assert plane.idle_lookup_ns == 31 * MS
         assert len(reply.value) == 1
 
     def test_needs_at_least_one_shard(self, sim):
@@ -97,11 +97,17 @@ class TestCompatSurface:
         assert plane.capacity_per_second == 2000 * shards
 
     def test_northbound_setter_fans_out(self, sim):
-        plane = ControlPlane(sim, shards=3)
+        # A northbound attached after construction answers requests on
+        # every shard.
+        plane = ControlPlane(sim, shards=3, propagation_ns=0)
         app = StaticApp()
         plane.northbound = app
-        assert plane.northbound is app
-        assert all(shard.northbound is app for shard in plane.shards)
+        for index in range(3):
+            reply = plane.flow_request("h0", "eth0",
+                                       flow_owned_by(plane, index))
+            assert len(sim.run(reply)) == 1
+        assert len(app.queries) == 3
+        assert [shard.stats.requests for shard in plane.shards] == [1, 1, 1]
 
     def test_down_means_every_shard_down(self, sim):
         plane = ControlPlane(sim, shards=2)
@@ -313,14 +319,19 @@ class TestShardOutages:
         sim.run(until=40 * MS)
         assert not plane.shards[0].down
 
-    def test_shard_outage_on_plain_controller_is_skipped(self, sim):
-        controller = SdnController(sim)
+    def test_shard_outage_downs_the_single_controller(self, sim):
+        plane = ControlPlane(sim)
         plan = FaultPlan()
         plan.add(ControllerOutage(at_ns=1 * MS, down_ns=1 * MS, shard=0))
-        injector = FaultInjector(sim, plan, controller=controller)
+        plan.add(ControllerOutage(at_ns=1 * MS, down_ns=1 * MS, shard=1))
+        injector = FaultInjector(sim, plan, controller=plane)
         injector.arm()
+        sim.run(until=1500 * US)
+        assert plane.down
+        assert [reason for _, _, reason in injector.skipped] == [
+            "no such controller shard"]
         sim.run(until=5 * MS)
-        assert not controller.down  # fault skipped, not misapplied
+        assert not plane.down
 
     def test_plane_wide_outage_downs_every_shard(self, sim):
         plane = ControlPlane(sim, shards=3)
@@ -399,12 +410,6 @@ class TestMonitorAndReporting:
         assert summary["reactive_misses"] == 1
         owner = plane.owner_of(flow)
         assert summary[f"shard{owner}_requests"] == 1
-
-    def test_monitor_accepts_plain_controller(self, sim):
-        controller = SdnController(sim)
-        monitor = ControlPlaneMonitor(sim, controller)
-        monitor.sample()
-        assert len(monitor.utilization) == 1
 
     def test_counters_flatten_into_table(self, sim, flow):
         plane = ControlPlane(sim, shards=2, northbound=StaticApp())

@@ -104,8 +104,8 @@ class TestSystemWiring:
         assert len(log.filter(category="message_rejected")) == 1
 
     def test_sdn_request_logged(self, sim, flow):
-        from repro.control import SdnController
-        controller = SdnController(sim)
+        from repro.control import ControlPlane
+        controller = ControlPlane(sim)
         app = SdnfvApp(sim, controller=controller)
         log = EventLog(sim)
         app.attach_event_log(log)

@@ -3,7 +3,7 @@ mid-chain miss handling, and remaining coverage gaps."""
 
 import pytest
 
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.dataplane import FlowTableEntry, NfvHost, ToPort, ToService
 from repro.net import FlowMatch, Packet
 from repro.nfs import NoOpNf
@@ -16,16 +16,16 @@ from repro.workloads import FlowSpec, ImixProfile, ImixSource, PktGen
 class TestMultiWorkerController:
     def test_workers_validation(self, sim):
         with pytest.raises(ValueError):
-            SdnController(sim, workers=0)
+            ControlPlane(sim, workers_per_shard=0)
 
     def test_capacity_scales_with_workers(self, sim):
-        single = SdnController(sim, service_time_ns=500 * US)
-        quad = SdnController(sim, service_time_ns=500 * US, workers=4)
+        single = ControlPlane(sim, service_time_ns=500 * US)
+        quad = ControlPlane(sim, service_time_ns=500 * US, workers_per_shard=4)
         assert quad.capacity_per_second == 4 * single.capacity_per_second
 
     def test_parallel_service_under_load(self, sim, flow):
-        controller = SdnController(sim, service_time_ns=1 * MS,
-                                   propagation_ns=0, workers=4)
+        controller = ControlPlane(sim, service_time_ns=1 * MS,
+                                  propagation_ns=0, workers_per_shard=4)
         done_times = []
         for _ in range(8):
             reply = controller.flow_request("h0", "eth0", flow)
@@ -64,7 +64,7 @@ class TestMidChainMiss:
                         actions=(ToPort("eth1"),))]
                 return []
 
-        controller = SdnController(sim, northbound=ChainApp())
+        controller = ControlPlane(sim, northbound=ChainApp())
         host = NfvHost(sim, name="mid0", controller=controller)
         host.add_nf(NoOpNf("svc"))
         # Only the ingress rule is pre-installed.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import SdnfvApp, ServiceGraph
 from repro.core.service_graph import EXIT
 from repro.dataplane import (
@@ -282,8 +282,8 @@ class TestControlPlanePolicy:
             ControlPlanePolicy(backoff_base_ns=-1)
 
     def _outage_env(self, sim, miss_fallback):
-        controller = SdnController(sim, service_time_ns=100 * US,
-                                   propagation_ns=100 * US)
+        controller = ControlPlane(sim, service_time_ns=100 * US,
+                                  propagation_ns=100 * US)
         app = SdnfvApp(sim, controller=controller)
         host = NfvHost(
             sim, name="h0", controller=controller,
@@ -316,8 +316,8 @@ class TestControlPlanePolicy:
         assert host.stats.degraded_packets == 0
 
     def test_retry_succeeds_once_controller_returns(self, sim, flow):
-        controller = SdnController(sim, service_time_ns=100 * US,
-                                   propagation_ns=100 * US)
+        controller = ControlPlane(sim, service_time_ns=100 * US,
+                                  propagation_ns=100 * US)
         app = SdnfvApp(sim, controller=controller)
         host = NfvHost(
             sim, name="h0", controller=controller,
@@ -341,7 +341,7 @@ class TestControlPlanePolicy:
         assert host.stats.dropped_no_rule == 0
 
     def test_outage_counted_and_recovers(self, sim):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         controller.outage(5 * MS)
         assert controller.down and controller.stats.outages == 1
         sim.run(until=10 * MS)
@@ -416,7 +416,7 @@ class TestInjector:
         assert host.costs.vm_service_ns == baseline
 
     def test_outage_via_plan_reaches_controller(self, sim, host):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         plan = FaultPlan()
         plan.add(ControllerOutage(at_ns=1 * MS, down_ns=3 * MS))
         FaultInjector(sim, plan, hosts=[host],
@@ -427,7 +427,7 @@ class TestInjector:
         assert not controller.down and controller.stats.outages == 1
 
     def test_app_supplies_hosts_and_controller(self, sim, host):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         app = SdnfvApp(sim, controller=controller)
         app.register_host(host)
         injector = FaultInjector(sim, FaultPlan(), app=app)
@@ -440,8 +440,8 @@ class TestInjector:
 # ----------------------------------------------------------------------
 class TestAppFailover:
     def test_crash_is_detected_replaced_and_rules_restored(self, sim, flow):
-        controller = SdnController(sim, service_time_ns=100 * US,
-                                   propagation_ns=100 * US)
+        controller = ControlPlane(sim, service_time_ns=100 * US,
+                                  propagation_ns=100 * US)
         orchestrator = NfvOrchestrator(sim)
         app = SdnfvApp(sim, controller=controller,
                        orchestrator=orchestrator)
@@ -499,8 +499,8 @@ class TestAppFailover:
     def test_failover_scenario_is_deterministic(self, flow):
         def run():
             sim = Simulator()
-            controller = SdnController(sim, service_time_ns=100 * US,
-                                       propagation_ns=100 * US)
+            controller = ControlPlane(sim, service_time_ns=100 * US,
+                                      propagation_ns=100 * US)
             orchestrator = NfvOrchestrator(sim)
             app = SdnfvApp(sim, controller=controller,
                            orchestrator=orchestrator)

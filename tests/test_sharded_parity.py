@@ -182,10 +182,10 @@ def sharded_run(shards: int, workers: int | None = None,
     key = (shards, workers, uniform)
     if key not in _RUNS:
         scenario = make_scenario()
-        plan = (uniform_minimum_plan(scenario.topology, shards)
-                if uniform else None)
-        _RUNS[key] = ShardedSimulator(scenario, shards=shards,
-                                      workers=workers, plan=plan).run()
+        plan = (uniform_minimum_plan(scenario.topology, shards) if uniform
+                else ShardPlan.compute(scenario.topology, shards))
+        _RUNS[key] = ShardedSimulator(scenario, workers=workers,
+                                      plan=plan).run()
     return _RUNS[key]
 
 
@@ -330,6 +330,14 @@ class TestShardPlan:
         simulator = ShardedSimulator(make_scenario(), plan=plan)
         assert simulator.plan is plan
 
+    def test_explicit_shards_must_agree_with_plan(self):
+        plan = ShardPlan(groups=(("h0", "h2"), ("h1", "h3")))
+        assert ShardedSimulator(make_scenario(), shards=2,
+                                plan=plan).plan is plan
+        for shards in (1, 4):
+            with pytest.raises(ValueError, match="disagrees"):
+                ShardedSimulator(make_scenario(), shards=shards, plan=plan)
+
 
 class TestScheduleTransportParity:
     """The round schedule and the boundary codec change only how often
@@ -413,10 +421,9 @@ def het_run(shards: int, workers: int | None = None,
     key = (shards, workers, uniform)
     if key not in _HET_RUNS:
         scenario = het_scenario()
-        plan = (uniform_minimum_plan(scenario.topology, shards)
-                if uniform else None)
-        _HET_RUNS[key] = ShardedSimulator(scenario, shards=shards,
-                                          workers=workers,
+        plan = (uniform_minimum_plan(scenario.topology, shards) if uniform
+                else ShardPlan.compute(scenario.topology, shards))
+        _HET_RUNS[key] = ShardedSimulator(scenario, workers=workers,
                                           plan=plan).run()
     return _HET_RUNS[key]
 
